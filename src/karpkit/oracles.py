@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import Optional
 
 from .instances import (
@@ -24,6 +25,10 @@ DEFAULT_BUDGET = 1 << 24
 
 class BudgetExceededError(RuntimeError):
     """The search space is larger than the candidate budget; refuse, never truncate."""
+
+
+class OracleSelfCheckError(RuntimeError):
+    """An oracle produced a witness that its own instance does not verify."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,10 @@ def _subsets_upto(items, max_size):
 
 def _yes(problem, kind, value, explored):
     cert = Certificate(kind, value)
-    assert verify_certificate(problem, cert)
+    if not verify_certificate(problem, cert):
+        raise OracleSelfCheckError(
+            "%s oracle witness %r does not verify" % (problem.kind, value)
+        )
     return OracleVerdict(True, cert, explored)
 
 
@@ -84,8 +92,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
 
     if kind == "clique":
         n, k = p.num_vertices, problem.param
-        from math import comb
-
         _guard(comb(n, k), budget, kind)
         edges = set(p.effective_edges())
         explored = 0
@@ -97,8 +103,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
 
     if kind == "node_cover":
         n, l = p.num_vertices, problem.param
-        from math import comb
-
         _guard(sum(comb(n, i) for i in range(l + 1)), budget, kind)
         explored = 0
         for combo in _subsets_upto(range(1, n + 1), l):
@@ -110,8 +114,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
 
     if kind == "set_packing":
         s, l = p.num_sets, problem.param
-        from math import comb
-
         if l > s:
             return OracleVerdict(False, None, 0)
         _guard(comb(s, l), budget, kind)
@@ -132,8 +134,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
 
     if kind == "set_covering":
         s, k = p.num_sets, problem.param
-        from math import comb
-
         _guard(sum(comb(s, i) for i in range(k + 1)), budget, kind)
         target = p.union()
         explored = 0
@@ -148,8 +148,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
 
     if kind == "feedback_node_set":
         n, k = p.num_vertices, problem.param
-        from math import comb
-
         _guard(sum(comb(n, i) for i in range(k + 1)), budget, kind)
         explored = 0
         for combo in _subsets_upto(range(1, n + 1), k):
@@ -161,8 +159,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
 
     if kind == "feedback_arc_set":
         e, k = len(p.arcs), problem.param
-        from math import comb
-
         _guard(sum(comb(e, i) for i in range(min(k, e) + 1)), budget, kind)
         explored = 0
         for combo in _subsets_upto(p.arcs, min(k, e)):
@@ -237,8 +233,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
 
     if kind == "three_dim_matching":
         u = len(p.triples)
-        from math import comb
-
         if p.t_size > u:
             return OracleVerdict(False, None, 0)
         _guard(comb(u, p.t_size), budget, kind)

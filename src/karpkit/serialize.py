@@ -131,7 +131,13 @@ def problem_to_json(problem):
     return {"kind": kind, "payload": payload}
 
 
+def _require_object(d, what):
+    if not isinstance(d, dict):
+        raise ValueError("%s must be a JSON object, got %s" % (what, type(d).__name__))
+
+
 def problem_from_json(d):
+    _require_object(d, "instance")
     kind = d.get("kind")
     payload = d.get("payload")
     param = None
@@ -192,6 +198,7 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(d):
+    _require_object(d, "certificate")
     kind = d["kind"]
     value = d["value"]
     if kind == "tree":

@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +16,8 @@ from karpkit.binprog import (
     solve_ip,
     to_equality_form,
 )
+from karpkit.instances import Problem, SteinerInstance, UGraph
+from karpkit.reductions import REDUCTIONS
 
 
 def _vars(n):
@@ -141,6 +144,89 @@ def test_solve_ip_var_cap():
     prog = _prog(30, [ConstraintRow(((0, 1),), EQ, 1, None)])
     with pytest.raises(VarCapExceededError):
         solve_ip(prog, var_cap=24)
+
+
+def _brute_force(prog):
+    """Reference solver: the lexicographically first satisfying assignment."""
+    for x in product((0, 1), repeat=prog.num_variables):
+        if all(row.holds(x) for row in prog.rows):
+            return x
+    return None
+
+
+def _random_program(rng):
+    # terms draw from the first `used` variables only, so trailing variables
+    # appear in no row; indices may repeat within a row
+    v = rng.randint(0, 10)
+    used = rng.randint(0, v)
+    rows = []
+    for _ in range(rng.randint(0, 5) if used else 0):
+        terms = tuple(
+            (rng.randrange(used), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 5))
+        )
+        rows.append(ConstraintRow(terms, rng.choice((EQ, LE, GE)), rng.randint(-4, 5)))
+    return _prog(v, rows)
+
+
+def test_solve_ip_matches_brute_force_on_random_programs():
+    rng = random.Random(20190227)
+    answers = set()
+    for _ in range(400):
+        prog = _random_program(rng)
+        expected = _brute_force(prog)
+        assert solve_ip(prog) == expected, prog
+        answers.add(expected is None)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize(
+    "n, rows, expected",
+    [
+        (0, [], ()),
+        (0, [ConstraintRow((), GE, 1, None)], None),
+        (3, [], (0, 0, 0)),
+        # a repeated index counts twice; opposite terms cancel
+        (2, [ConstraintRow(((0, 1), (0, 1), (1, 1)), EQ, 2, None)], (1, 0)),
+        (2, [ConstraintRow(((0, 2), (1, 1), (0, -2)), EQ, 1, None)], (0, 1)),
+        (2, [ConstraintRow(((0, 1), (0, -1)), EQ, 1, None)], None),
+        # x1 and x2 appear in no row
+        (3, [ConstraintRow(((2, 1),), GE, 1, None)], (0, 0, 1)),
+        (2, [ConstraintRow(((0, 1), (1, -1)), GE, 1, None)], (1, 0)),
+        (2, [ConstraintRow(((0, -1), (1, -1)), LE, -2, None)], (1, 1)),
+        (2, [ConstraintRow(((0, 1), (1, 1)), GE, 3, None)], None),
+        (
+            3,
+            [
+                ConstraintRow(((0, 1), (1, 1)), LE, 1, None),
+                ConstraintRow(((1, 1), (2, 1)), GE, 2, None),
+                ConstraintRow(((0, 1), (2, -1)), EQ, -1, None),
+            ],
+            (0, 1, 1),
+        ),
+    ],
+)
+def test_solve_ip_edge_cases_match_brute_force(n, rows, expected):
+    prog = _prog(n, rows)
+    assert _brute_force(prog) == expected
+    assert solve_ip(prog) == expected
+
+
+def test_solve_ip_depth_beyond_recursion_limit():
+    # oracles.solve admits any v its budget covers; the search must not recurse
+    n = 3000
+    rows = [ConstraintRow(((i, 1), (i + 1, 1)), EQ, 1, None) for i in range(n - 1)]
+    assert solve_ip(_prog(n, rows), var_cap=n) == (0, 1) * (n // 2)
+
+
+def test_solve_ip_steiner_image_matches_brute_force():
+    g = UGraph(4, tuple(combinations(range(1, 5), 2)), (1, 2, 3, 1, 2, 1))
+    source = Problem("steiner_tree", SteinerInstance(g, (1, 4), 3))
+    prog = REDUCTIONS["steiner_tree_to_ip"].apply(source).payload
+    assert prog.num_variables == 20
+    witness = solve_ip(prog)
+    assert witness is not None
+    assert witness == _brute_force(prog)
 
 
 def test_dump_is_readable():

@@ -1,3 +1,4 @@
+import io
 import json
 from itertools import combinations
 
@@ -175,6 +176,21 @@ def test_edgelist_requires_kind(tmp_path, capsys):
 
 def test_usage_error_exits_two(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7"])
+def test_non_object_json_is_usage_error(tmp_path, capsys, monkeypatch, text):
+    # exit 1 would read as NO
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "solve", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+    inst = k4_file(tmp_path)
+    cert = _write(tmp_path, "cert.json", text)
+    code, out, err = run(capsys, "verify", inst, "--cert", cert)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_outputs_re_readable(tmp_path, capsys):

@@ -13,7 +13,8 @@ from karpkit.instances import (
     UGraph,
     verify_certificate,
 )
-from karpkit.oracles import BudgetExceededError, solve
+from karpkit import oracles
+from karpkit.oracles import BudgetExceededError, OracleSelfCheckError, solve
 
 
 def test_hcp_k4_yes():
@@ -82,6 +83,13 @@ def test_lexicographically_first_witness():
     p = Problem("knapsack", IntegerList((2, 2, 2), 2))
     v = solve(p)
     assert v.certificate.value == (1,)
+
+
+def test_witness_self_check_is_not_an_assert(monkeypatch):
+    # must raise under `python -O` too, where assert statements are dropped
+    monkeypatch.setattr(oracles, "verify_certificate", lambda problem, cert: False)
+    with pytest.raises(OracleSelfCheckError):
+        solve(Problem("partition", IntegerList((2, 2))))
 
 
 def test_explored_counter_monotone():
