@@ -25,6 +25,10 @@ class VarCapExceededError(RuntimeError):
     """solve_ip refuses programs larger than its variable cap."""
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class VariableTag:
     """Semantic label recording which source object a variable encodes."""
@@ -70,7 +74,17 @@ class BinaryProgram:
         for row in self.rows:
             if row.relation not in (EQ, LE, GE):
                 raise ContractError("bad relation %r" % row.relation)
+            if not _is_int(row.rhs):
+                raise ContractError("rhs must be an integer, got %r" % (row.rhs,))
+            if row.slack_bound is not None and not _is_int(row.slack_bound):
+                raise ContractError(
+                    "slack_bound must be an integer, got %r" % (row.slack_bound,)
+                )
             for i, c in row.terms:
+                if not (_is_int(i) and _is_int(c)):
+                    raise ContractError(
+                        "term %r is not an integer (index, coefficient) pair" % ((i, c),)
+                    )
                 if not 0 <= i < len(self.variables):
                     raise ContractError("term references undeclared variable")
                 if c == 0:

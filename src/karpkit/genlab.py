@@ -1,11 +1,17 @@
 """Seeded random instance generators for property tests and growth audits.
 
-Randomness is a splittable counter-based scheme: every generated item
-(clause i, vertex pair (i,j), set i, ...) draws from its own Philox stream
-keyed on (seed, item label).  A GeneratorSpec therefore always reproduces
-the identical instance, and growing a scale parameter extends the instance
-without re-rolling the items already present, so element-mode size never
-shrinks as scale grows.
+Randomness is counter-based: each item family (spanning-tree anchors,
+vertex pairs, arcs, edge weights, triples, items, clauses, clause sizes,
+sets, IP rows) draws from one Philox stream keyed on (seed, family label),
+and the one-off draws of an instance (its parameter, its terminals) from a
+stream of their own.  A family's items are drawn in one batch, in an order
+that only appends as the scale grows: pairs column by column (j = 2..n,
+then i = 1..j-1), arcs in blocks by their larger endpoint, edge weights at
+their pair's position in that order, one row of uniforms per clause, set
+or IP row, and 3DM triples one after another.  A GeneratorSpec therefore
+always reproduces the identical instance, and growing a scale parameter
+extends the instance without re-rolling the items already present, so
+element-mode size never shrinks as scale grows.
 """
 
 from __future__ import annotations
@@ -29,21 +35,46 @@ from .instances import (
 _MASK = (1 << 64) - 1
 
 
-def _stream(seed, *label):
-    """Philox generator for one item: 128-bit key from seed and label."""
+def _stream(seed, label):
+    """Philox generator keyed exactly on (seed mod 2^64, hash of label)."""
     h = 0
-    for part in label:
-        if isinstance(part, str):
-            for ch in part:
-                h = (h * 1000003 + ord(ch)) & _MASK
-        else:
-            h = (h * 1000003 + (part & _MASK)) & _MASK
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK, h]))
+    for ch in label:
+        h = (h * 1000003 + ord(ch)) & _MASK
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed & _MASK, h], dtype=np.uint64))
+    )
+
+
+def _ints(u, low, high):
+    """Map uniforms in [0, 1) to integers in [low, high] (inclusive; `high`
+    may be an array)."""
+    return low + np.floor(u * (high - low + 1)).astype(np.int64)
 
 
 def _int(rng, low, high):
     # inclusive bounds
-    return int(rng.integers(low, high + 1))
+    return int(_ints(rng.random(), low, high))
+
+
+def _pairs(n):
+    """Vertex pairs (i, j), i < j, column by column: j = 2..n, then
+    i = 1..j-1.  The first m(m-1)/2 pairs are the pairs among 1..m."""
+    j = np.repeat(np.arange(2, n + 1), np.arange(1, n))
+    # i counts up from 1 within each column
+    i = np.arange(len(j)) - _pair_pos(1, j) + 1
+    return i, j
+
+
+def _pair_pos(i, j):
+    """Position of pair (i, j), i < j, in `_pairs` order."""
+    return (j - 1) * (j - 2) // 2 + i - 1
+
+
+def _ranked(keys, sizes):
+    """Row r: the first sizes[r] of 1..k in the order of row r's k uniform
+    keys, i.e. that many distinct values in random order."""
+    order = (np.argsort(keys, axis=1, kind="stable") + 1).tolist()
+    return [row[:size] for row, size in zip(order, sizes)]
 
 
 @dataclass(frozen=True)
@@ -61,49 +92,70 @@ class GeneratorSpec:
 def _connected_graph(seed, n, density):
     """Random connected graph: vertex v >= 2 attaches to an earlier anchor,
     then each pair is added independently with the given density."""
-    edges = set()
-    for v in range(2, n + 1):
-        anchor = _int(_stream(seed, "tree", v), 1, v - 1)
-        edges.add((anchor, v))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) not in edges and _stream(seed, "pair", i, j).random() < density:
-                edges.add((i, j))
-    return tuple(sorted(edges))
+    i, j = _pairs(n)
+    chosen = _stream(seed, "pair").random(len(i)) < density
+    v = np.arange(2, n + 1)
+    anchors = _ints(_stream(seed, "tree").random(len(v)), 1, v - 1)
+    chosen[_pair_pos(anchors, v)] = True
+    return tuple(sorted(zip(i[chosen].tolist(), j[chosen].tolist())))
+
+
+def _edge_weights(seed, n, edges, max_weight):
+    """Weights in 1..max_weight, edge (i, j) taking the uniform at its pair's
+    position in `_pairs` order."""
+    u = _stream(seed, "weight").random(n * (n - 1) // 2)
+    pos = [_pair_pos(i, j) for i, j in edges]
+    return tuple(_ints(u[pos], 1, max_weight).tolist())
 
 
 def _digraph_with_cycles(seed, n, density):
     """Random digraph containing the rotation cycle 1->2->...->n->1 (every
-    vertex keeps in/out degree >= 1) plus density-selected extra arcs."""
-    arcs = set((v, v % n + 1) for v in range(1, n + 1))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and (i, j) not in arcs and _stream(seed, "arc", i, j).random() < density:
-                arcs.add((i, j))
+    vertex keeps in/out degree >= 1) plus density-selected extra arcs, drawn
+    in blocks by larger endpoint m: (i, m), (m, i) for i = 1..m-1."""
+    i, m = _pairs(n)
+    tails = np.column_stack((i, m)).ravel()
+    heads = np.column_stack((m, i)).ravel()
+    chosen = _stream(seed, "arc").random(len(tails)) < density
+    arcs = set(zip(tails[chosen].tolist(), heads[chosen].tolist()))
+    arcs.update((v, v % n + 1) for v in range(1, n + 1))
     return tuple(sorted(arcs))
 
 
-def _clause(seed, idx, m, size):
-    rng = _stream(seed, "clause", idx)
-    chosen = rng.choice(np.arange(1, m + 1), size=size, replace=False)
-    return tuple(int(v) if rng.random() < 0.5 else -int(v) for v in chosen)
+def _clauses(seed, m, sizes):
+    """Clause r: sizes[r] distinct variables of 1..m, each negated on a coin
+    flip; one row of 2m uniforms per clause."""
+    u = _stream(seed, "clause").random((len(sizes), 2 * m))
+    negated = (u[:, m:] >= 0.5).tolist()
+    return tuple(
+        tuple(-v if neg else v for v, neg in zip(chosen, flips))
+        for chosen, flips in zip(_ranked(u[:, :m], sizes), negated)
+    )
 
 
-def _random_family(seed, universe, num_sets, max_set, cover=True):
+def _random_family(seed, universe, num_sets, max_set):
     """Random set family; set i structurally contains element
     ((i-1) mod universe)+1 so families with at least `universe` sets cover
-    the whole universe."""
+    the whole universe.  One row of universe+1 uniforms per set."""
+    u = _stream(seed, "set").random((num_sets, universe + 1))
+    sizes = _ints(u[:, 0], 1, max(1, min(max_set, universe))).tolist()
     sets = []
-    for i in range(1, num_sets + 1):
-        rng = _stream(seed, "set", i)
-        size = _int(rng, 1, max(1, min(max_set, universe)))
-        members = set(
-            int(x) for x in rng.choice(np.arange(1, universe + 1), size=size, replace=False)
-        )
-        if cover:
-            members.add((i - 1) % universe + 1)
-        sets.append(tuple(sorted(members)))
+    for i, members in enumerate(_ranked(u[:, 1:], sizes), 1):
+        sets.append(tuple(sorted(set(members) | {(i - 1) % universe + 1})))
     return tuple(sets)
+
+
+def _triples(seed, t, count):
+    """The first min(count, t^3) distinct triples over 1..t, drawn one after
+    another from the triple stream."""
+    rng = _stream(seed, "triple")
+    want = min(count, t ** 3)
+    triples = set()
+    while len(triples) < want:
+        for triple in _ints(rng.random((2 * want, 3)), 1, t).tolist():
+            triples.add(tuple(triple))
+            if len(triples) == want:
+                break
+    return tuple(sorted(triples))
 
 
 def generate(spec):
@@ -117,15 +169,12 @@ def generate(spec):
     if kind in ("sat", "threesat"):
         n = p.get("clauses", 4)
         m = p.get("literals", max(3, n))
-        max_size = 3 if kind == "threesat" else p.get("max_clause", 5)
-        clauses = []
-        for i in range(1, n + 1):
-            if kind == "threesat":
-                size = min(3, m)
-            else:
-                size = min(_int(_stream(seed, "csize", i), 1, max_size), m)
-            clauses.append(_clause(seed, i, m, size))
-        return validate(Problem(kind, CnfFormula(m, tuple(clauses))))
+        if kind == "threesat":
+            sizes = [min(3, m)] * n
+        else:
+            drawn = _ints(_stream(seed, "csize").random(n), 1, p.get("max_clause", 5))
+            sizes = np.minimum(drawn, m).tolist()
+        return validate(Problem(kind, CnfFormula(m, _clauses(seed, m, sizes))))
 
     if kind in ("clique", "node_cover", "chromatic_number", "clique_cover"):
         n = p.get("vertices", 5)
@@ -144,9 +193,7 @@ def generate(spec):
         density = p.get("density", 0.5)
         max_weight = p.get("max_weight", 5)
         edges = _connected_graph(seed, n, density)
-        weights = tuple(
-            _int(_stream(seed, "weight", i, j), 1, max_weight) for i, j in edges
-        )
+        weights = _edge_weights(seed, n, edges, max_weight)
         total = sum(weights)
         param = p.get("param", _int(top, 0, total))
         return validate(Problem(kind, UGraph(n, edges, weights), param=param))
@@ -176,9 +223,7 @@ def generate(spec):
         density = p.get("density", 0.5)
         max_weight = p.get("max_weight", 4)
         edges = _connected_graph(seed, n, density)
-        weights = tuple(
-            _int(_stream(seed, "weight", i, j), 1, max_weight) for i, j in edges
-        )
+        weights = _edge_weights(seed, n, edges, max_weight)
         g = UGraph(n, edges, weights)
         num_terminals = p.get("terminals", _int(top, 1, n))
         terminals = sorted(
@@ -197,18 +242,12 @@ def generate(spec):
     if kind == "three_dim_matching":
         t = p.get("t_size", 3)
         count = p.get("triples", max(t, 4))
-        triples = set()
-        i = 0
-        while len(triples) < min(count, t ** 3):
-            i += 1
-            rng = _stream(seed, "triple", i)
-            triples.add((_int(rng, 1, t), _int(rng, 1, t), _int(rng, 1, t)))
-        return validate(Problem(kind, TripleFamily(t, tuple(sorted(triples)))))
+        return validate(Problem(kind, TripleFamily(t, _triples(seed, t, count))))
 
     if kind in ("knapsack", "partition"):
         r = p.get("items", 6)
         max_value = p.get("max_value", 12)
-        values = tuple(_int(_stream(seed, "item", i), 1, max_value) for i in range(1, r + 1))
+        values = tuple(_ints(_stream(seed, "item").random(r), 1, max_value).tolist())
         if kind == "partition":
             return validate(Problem(kind, IntegerList(values)))
         target = p.get("target", _int(top, 0, sum(values)))
@@ -220,13 +259,21 @@ def generate(spec):
         v = p.get("variables", 6)
         rows = p.get("rows", 3)
         max_terms = p.get("max_terms", min(4, v))
-        out_rows = []
-        for r in range(1, rows + 1):
-            rng = _stream(seed, "row", r)
-            count = _int(rng, 1, max_terms)
-            idxs = sorted(int(x) for x in rng.choice(np.arange(v), size=count, replace=False))
-            terms = tuple((i, _int(rng, -2, 2) or 1) for i in idxs)
-            out_rows.append(ConstraintRow(terms, "=", _int(rng, 0, count), None))
+        if not 1 <= max_terms <= v:
+            raise ValueError("max_terms must lie in 1..variables")
+        # row r: a term count, v variable keys, max_terms coefficients
+        # (0 read as 1) and the rhs, from one row of uniforms
+        u = _stream(seed, "row").random((rows, v + max_terms + 2))
+        counts = _ints(u[:, 0], 1, max_terms).tolist()
+        coefs = _ints(u[:, v + 1:-1], -2, 2).tolist()
+        rhs = _ints(u[:, -1], 0, np.array(counts)).tolist()
+        out_rows = [
+            ConstraintRow(
+                tuple((x - 1, c or 1) for x, c in zip(sorted(chosen), row_coefs)),
+                "=", b, None,
+            )
+            for chosen, row_coefs, b in zip(_ranked(u[:, 1:v + 1], counts), coefs, rhs)
+        ]
         prog = BinaryProgram(
             tuple(VariableTag(("x", i)) for i in range(1, v + 1)), tuple(out_rows)
         )

@@ -123,6 +123,24 @@ def test_validate_rejects_zero_coefficient():
         _prog(1, [ConstraintRow(((0, 0),), EQ, 0, None)]).validate()
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        ConstraintRow(((0, 0.5),), EQ, 1, None),
+        ConstraintRow(((0, True),), EQ, 1, None),
+        ConstraintRow(((0.0, 1),), EQ, 1, None),
+        ConstraintRow(((0, 1),), EQ, 1.0, None),
+        ConstraintRow(((0, 1),), EQ, False, None),
+        ConstraintRow(((0, 1),), EQ, "1", None),
+        ConstraintRow(((0, 1),), LE, 1, 0.5),
+        ConstraintRow(((0, 1),), LE, 1, True),
+    ],
+)
+def test_validate_rejects_non_integer_numbers(row):
+    with pytest.raises(ContractError):
+        _prog(1, [row]).validate()
+
+
 def test_validate_rejects_duplicate_origins():
     prog = BinaryProgram((VariableTag(("x", 1)), VariableTag(("x", 1))), ())
     with pytest.raises(ContractError):

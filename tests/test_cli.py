@@ -193,6 +193,23 @@ def test_non_object_json_is_usage_error(tmp_path, capsys, monkeypatch, text):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _ip01_text(rhs, coef):
+    row = {"relation": "=", "rhs": rhs, "terms": [[0, coef], [1, coef]]}
+    payload = {"rows": [row], "variables": [["x", 1], ["x", 2]]}
+    return json.dumps({"kind": "ip01", "payload": payload})
+
+
+@pytest.mark.parametrize(
+    "rhs, coef", [(1, 0.5), (True, 1), ("1", 1)], ids=["float", "bool", "str"]
+)
+def test_non_integer_ip01_is_usage_error(capsys, monkeypatch, rhs, coef):
+    # otherwise a 0.5-coefficient row is solved over the reals and answers YES
+    monkeypatch.setattr("sys.stdin", io.StringIO(_ip01_text(rhs, coef)))
+    code, out, err = run(capsys, "solve", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_outputs_re_readable(tmp_path, capsys):
     path = _write(
         tmp_path, "sp.json",

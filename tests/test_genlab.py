@@ -1,4 +1,15 @@
-from karpkit.genlab import SCALE_PARAM, GeneratorSpec, generate, scaled_spec
+import numpy as np
+import pytest
+
+from karpkit.genlab import (
+    SCALE_PARAM,
+    GeneratorSpec,
+    _pair_pos,
+    _pairs,
+    _stream,
+    generate,
+    scaled_spec,
+)
 from karpkit.instances import KINDS, measure_input_size, validate
 from karpkit.oracles import solve
 from karpkit.reductions import REDUCTIONS
@@ -63,6 +74,11 @@ def test_scaling_extends_without_rerolling():
     assert big.payload.clauses[:4] == small.payload.clauses
 
 
+def test_ip01_more_terms_than_variables_is_refused():
+    with pytest.raises(ValueError):
+        generate(GeneratorSpec("ip01", 1, {"variables": 2, "max_terms": 4}))
+
+
 def test_generous_budget_steiner_is_always_yes():
     for seed in range(5):
         p = generate(GeneratorSpec("steiner_tree", seed, {"generous_budget": True}))
@@ -74,3 +90,90 @@ def test_with_params_merges():
     spec2 = spec.with_params(literals=9)
     assert spec2.params == {"clauses": 4, "literals": 9}
     assert spec.params == {"clauses": 4}
+
+
+# distinct instances over seeds 0-199 at default parameters; before the
+# stream key was exact, partition gave 12, dhcp 32 and feedback_arc_set 105
+MIN_DISTINCT = {
+    "sat": 200, "threesat": 200, "ip01": 200, "max_cut": 200,
+    "steiner_tree": 200, "knapsack": 200, "partition": 200,
+    "three_dim_matching": 199, "set_packing": 199, "set_covering": 199,
+    "exact_cover": 199, "hitting_set": 199, "feedback_node_set": 198,
+    "feedback_arc_set": 198, "dhcp": 193, "clique": 183, "node_cover": 183,
+    "chromatic_number": 183, "clique_cover": 183, "hcp": 135,
+}
+
+
+@pytest.mark.parametrize("kind", GENERATED_KINDS)
+def test_distinct_instances_over_seeds(kind):
+    distinct = {generate(GeneratorSpec(kind, seed)) for seed in range(200)}
+    assert len(distinct) >= MIN_DISTINCT[kind]
+
+
+@pytest.mark.parametrize("kind", ["partition", "knapsack"])
+def test_items_within_an_instance_differ(kind):
+    for seed in range(200):
+        values = generate(GeneratorSpec(kind, seed)).payload.values
+        assert len(set(values)) > 1, (seed, values)
+
+
+def test_stream_key_is_exact():
+    # a key built through float64 would drop the low bits of both words
+    for seed in (0, 2**53 + 1, 2**64 - 1, -1):
+        key = _stream(seed, "item").bit_generator.state["state"]["key"]
+        assert int(key[0]) == seed % 2**64
+
+
+def test_adjacent_streams_differ():
+    # labels "item" and "iten" hash to adjacent 64-bit keys
+    assert not np.array_equal(
+        _stream(0, "item").random(4), _stream(0, "iten").random(4)
+    )
+    assert not np.array_equal(
+        _stream(2**53, "item").random(4), _stream(2**53 + 1, "item").random(4)
+    )
+    for kind in ("partition", "hcp", "dhcp", "three_dim_matching"):
+        assert generate(GeneratorSpec(kind, 2**53)) != generate(
+            GeneratorSpec(kind, 2**53 + 1)
+        ), kind
+
+
+def test_pair_order_is_column_by_column():
+    for n in range(7):
+        order = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+        i, j = _pairs(n)
+        assert list(zip(i.tolist(), j.tolist())) == order
+        assert [_pair_pos(a, b) for a, b in order] == list(range(len(order)))
+
+
+def test_growing_vertices_keeps_edges_and_weights():
+    for seed in range(20):
+        small = generate(GeneratorSpec("max_cut", seed, {"vertices": 8}))
+        big = generate(GeneratorSpec("max_cut", seed, {"vertices": 20}))
+        g, h = small.payload, big.payload
+        kept = [(e, w) for e, w in zip(h.edges, h.weights) if max(e) <= 8]
+        assert kept == list(zip(g.edges, g.weights))
+
+
+def test_growing_vertices_keeps_arcs_but_the_closing_one():
+    for seed in range(20):
+        small = generate(GeneratorSpec("dhcp", seed, {"vertices": 8}))
+        big = generate(GeneratorSpec("dhcp", seed, {"vertices": 20}))
+        closing = {(8, 1)}
+        kept = {a for a in big.payload.arcs if max(a) <= 8}
+        assert set(small.payload.arcs) - closing == kept - closing
+
+
+def test_growing_counts_keeps_earlier_items():
+    for seed in range(20):
+        def gen(kind, **params):
+            return generate(GeneratorSpec(kind, seed, params)).payload
+
+        assert gen("partition", items=12).values[:6] == gen("partition").values
+        small = gen("three_dim_matching", t_size=5, triples=6).triples
+        big = gen("three_dim_matching", t_size=5, triples=30).triples
+        assert set(small) <= set(big)
+        small = gen("exact_cover", universe=6, sets=4).sets
+        assert gen("exact_cover", universe=6, sets=9).sets[:4] == small
+        small = gen("ip01", variables=6, rows=3).rows
+        assert gen("ip01", variables=6, rows=7).rows[:3] == small
