@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,13 @@ from karpkit.instances import (
     verify_certificate,
 )
 from karpkit import oracles
-from karpkit.oracles import BudgetExceededError, OracleSelfCheckError, solve
+from karpkit.genlab import GeneratorSpec, generate
+from karpkit.oracles import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    OracleSelfCheckError,
+    solve,
+)
 
 
 def test_hcp_k4_yes():
@@ -96,3 +103,108 @@ def test_explored_counter_monotone():
     p = Problem("partition", IntegerList((1, 2, 3, 4)))
     v = solve(p)
     assert v.explored >= 1
+
+
+# sha256 over repr((answer, witness value, explored)) or ("refused", message)
+# of solve(generate(GeneratorSpec(kind, s, {}))) for s = 0..99, one line
+# each; (default budget, budget 40) per kind
+GOLDEN = {
+    "chromatic_number": (
+        "35a9869257a2f44698f4302ae551c51b41e25281dbf2e46cc317516151ce0970",
+        "56eb5c759c435cf5f80e22241fc6422f158fbe3dcf02d5c4d0969f020db06a92",
+    ),
+    "clique": (
+        "39a6174c545e1c331f1462f0e164c923c5d2c4cf4647d3d55ee22828bcae831d",
+        "39a6174c545e1c331f1462f0e164c923c5d2c4cf4647d3d55ee22828bcae831d",
+    ),
+    "clique_cover": (
+        "32292b8a73d0a7b14c050217d5c92719f23b796155a071661fa05f5ef4db7ddd",
+        "32292b8a73d0a7b14c050217d5c92719f23b796155a071661fa05f5ef4db7ddd",
+    ),
+    "dhcp": (
+        "a45f16fa53d7d2b0f82c6ad54506f3242989a2c63b23ca32af17572ef958d09a",
+        "a45f16fa53d7d2b0f82c6ad54506f3242989a2c63b23ca32af17572ef958d09a",
+    ),
+    "exact_cover": (
+        "86f4b725992b45700cd69ce50962888a0397716d8e9098268d8e0dc56017849f",
+        "86f4b725992b45700cd69ce50962888a0397716d8e9098268d8e0dc56017849f",
+    ),
+    "feedback_arc_set": (
+        "5a98bb28bb2e51c57114a22b3e088fd8f186025b6e5d29c834de0bdb9fd64ac1",
+        "b0488add588e0fb04da65d22e56089f4143442923164f830dd6e928dc448c309",
+    ),
+    "feedback_node_set": (
+        "6abc2e211891741a7ea56f0c8bb33200be34898bc98ce85defe6997af338bdd9",
+        "6abc2e211891741a7ea56f0c8bb33200be34898bc98ce85defe6997af338bdd9",
+    ),
+    "hcp": (
+        "f294dcd432992730ed940f7e2c5fe2848f294ff9224037aa8fe2f4524f1d1a69",
+        "f294dcd432992730ed940f7e2c5fe2848f294ff9224037aa8fe2f4524f1d1a69",
+    ),
+    "hitting_set": (
+        "527040e75af987a88240f1972372afad48af4fcd247e88648daeb7d9d6d7ec0e",
+        "527040e75af987a88240f1972372afad48af4fcd247e88648daeb7d9d6d7ec0e",
+    ),
+    "ip01": (
+        "4029ce0b62faf837097c28ac11548f6e67b1dd72990c8e7e89940c8e30ff59d7",
+        "cfbbbd8400cf73a81b34f69649311081db409092667740bbaff2eefcc5a1de28",
+    ),
+    "knapsack": (
+        "064a83174236f513a7f5eee8f169e4904662c7f85bc78bbd98c130e0659e4fb3",
+        "327b772f59024549c6c1bc7b04eb40f1e21913c8f46ed7b0dd295ccf8969f124",
+    ),
+    "max_cut": (
+        "8537d841841f3c763ee118f77ceb5379520076ebadf219f2584d91b57d97ebec",
+        "8537d841841f3c763ee118f77ceb5379520076ebadf219f2584d91b57d97ebec",
+    ),
+    "node_cover": (
+        "1c60a760a368decbbaba67649826140b5a27ae471c2670e93d4ec0cf9112b6c0",
+        "1c60a760a368decbbaba67649826140b5a27ae471c2670e93d4ec0cf9112b6c0",
+    ),
+    "partition": (
+        "9bc194ebcdc44334641a311559c74b45be41b7a986de1222b2300b8964de9662",
+        "c7eb31dfb2d153e58a4c27483ce0b546b5312bfc18c4ce01ba2ffcf349fa18dd",
+    ),
+    "sat": (
+        "bfe98afa51f962bb5833ecfe105d2dc01efece469222099cef010fa10f0ce43e",
+        "bfe98afa51f962bb5833ecfe105d2dc01efece469222099cef010fa10f0ce43e",
+    ),
+    "set_covering": (
+        "b115f2da572fbe5aa20992079f42e839d0ada71c61a62af32db6b384eb81604b",
+        "b115f2da572fbe5aa20992079f42e839d0ada71c61a62af32db6b384eb81604b",
+    ),
+    "set_packing": (
+        "908ff2844e2b02609e26013b03b141b1c7b65ea2cb8da67764fe9ba07c907865",
+        "908ff2844e2b02609e26013b03b141b1c7b65ea2cb8da67764fe9ba07c907865",
+    ),
+    "steiner_tree": (
+        "32056fc0b6cf38b37ca2f7123fe8e8c9dc5a9074a593a95d76cb5554b4edaa66",
+        "f7e28b726d1614e2905187f3e3130f331ae59205d43f1c3ea2358312182a8da8",
+    ),
+    "three_dim_matching": (
+        "8a17ac35002a2c595c4f2b0030e7179d81c7671d12f38b7a0ab611f9723edd89",
+        "8a17ac35002a2c595c4f2b0030e7179d81c7671d12f38b7a0ab611f9723edd89",
+    ),
+    "threesat": (
+        "dd8270f21b3fce61d3b8c28d5c52f7d5e467ddb22ea407c0ecc8511e244dd203",
+        "dd8270f21b3fce61d3b8c28d5c52f7d5e467ddb22ea407c0ecc8511e244dd203",
+    ),
+}
+
+
+def _golden_digest(kind, budget):
+    h = hashlib.sha256()
+    for s in range(100):
+        problem = generate(GeneratorSpec(kind, s, {}))
+        try:
+            v = solve(problem, budget=budget)
+            record = (v.answer, v.certificate and v.certificate.value, v.explored)
+        except BudgetExceededError as exc:
+            record = ("refused", str(exc))
+        h.update(repr(record).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_golden_verdicts_witnesses_and_explored(kind):
+    assert (_golden_digest(kind, DEFAULT_BUDGET), _golden_digest(kind, 40)) == GOLDEN[kind]
