@@ -136,6 +136,12 @@ def cmd_lift(args):
     names = [step["reduction"] for step in manifest["steps"]]
     chain = chain_from_names(names)
     cert = serialize.loads_certificate(_read_text(args.cert))
+    # the lifts index into the certificate: check it against the instance it
+    # claims to witness first (a malformed one raises, a usage error)
+    if not verify_certificate(apply_chain(chain, source)[-1], cert):
+        print("certificate does not verify for the chain's final instance",
+              file=sys.stderr)
+        return EXIT_NO
     lifted = lift_chain(chain, source, cert)
     if not verify_certificate(source, lifted):
         print("lifted certificate does not verify", file=sys.stderr)

@@ -9,6 +9,8 @@ growth auditor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
 from typing import Optional
 
 KINDS = (
@@ -210,31 +212,6 @@ class SizeReport:
     bits: int
 
 
-# certificate shape expected for each problem kind
-CERT_KIND = {
-    "sat": "assignment",
-    "threesat": "assignment",
-    "ip01": "binary",
-    "clique": "vertex_set",
-    "node_cover": "vertex_set",
-    "feedback_node_set": "vertex_set",
-    "max_cut": "vertex_set",
-    "set_packing": "set_indices",
-    "set_covering": "set_indices",
-    "exact_cover": "set_indices",
-    "hitting_set": "element_set",
-    "feedback_arc_set": "arc_set",
-    "dhcp": "cycle",
-    "hcp": "cycle",
-    "chromatic_number": "coloring",
-    "clique_cover": "clique_partition",
-    "steiner_tree": "tree",
-    "three_dim_matching": "triple_indices",
-    "knapsack": "item_indices",
-    "partition": "item_indices",
-}
-
-
 # ---------------------------------------------------------------------------
 # validity
 # ---------------------------------------------------------------------------
@@ -248,10 +225,13 @@ def _check(cond, msg):
 def _validate_ugraph(g, weighted):
     _check(g.num_vertices >= 0, "negative vertex count")
     seen = set()
+    # messages are formatted only on failure: validation runs on every edge
     for i, j in g.edges:
-        _check(i != j, "self-loop (%d,%d)" % (i, j))
+        if i == j:
+            raise InvalidInstanceError("self-loop (%d,%d)" % (i, j))
         _check(1 <= i <= g.num_vertices and 1 <= j <= g.num_vertices, "vertex out of range")
-        _check((i, j) not in seen, "duplicate edge (%d,%d)" % (i, j))
+        if (i, j) in seen:
+            raise InvalidInstanceError("duplicate edge (%d,%d)" % (i, j))
         seen.add((i, j))
     if weighted:
         _check(g.weights is not None, "weights required")
@@ -265,7 +245,8 @@ def _validate_digraph(g):
     seen = set()
     for i, j in g.arcs:
         _check(1 <= i <= g.num_vertices and 1 <= j <= g.num_vertices, "vertex out of range")
-        _check((i, j) not in seen, "duplicate arc (%d,%d)" % (i, j))
+        if (i, j) in seen:
+            raise InvalidInstanceError("duplicate arc (%d,%d)" % (i, j))
         seen.add((i, j))
 
 
@@ -280,8 +261,8 @@ def _validate_cnf(f, max_clause=None):
     _check(f.num_literals >= 0, "negative literal count")
     for c in f.clauses:
         _check(len(c) >= 1, "empty clause")
-        if max_clause is not None:
-            _check(len(c) <= max_clause, "clause larger than %d" % max_clause)
+        if max_clause is not None and len(c) > max_clause:
+            raise InvalidInstanceError("clause larger than %d" % max_clause)
         for lit in c:
             _check(lit != 0 and 1 <= abs(lit) <= f.num_literals, "literal out of range")
 
@@ -465,14 +446,6 @@ def _cc(cond, msg):
         raise InvalidCertificateError(msg)
 
 
-def _adjacency(edges):
-    adj = {}
-    for i, j in edges:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    return adj
-
-
 def _is_acyclic(num_vertices, arcs, removed_nodes=(), removed_arcs=()):
     removed_nodes = set(removed_nodes)
     removed_arcs = set(removed_arcs)
@@ -498,10 +471,294 @@ def _is_acyclic(num_vertices, arcs, removed_nodes=(), removed_arcs=()):
     return seen == len(indeg)
 
 
-def _check_cycle_order(order, num_vertices, minimum):
-    _cc(len(order) == num_vertices, "cycle must visit every vertex exactly once")
-    _cc(sorted(order) == list(range(1, num_vertices + 1)), "cycle is not a permutation")
-    _cc(num_vertices >= minimum, "cycle too short for this convention")
+# Shape checks: (problem, value) -> None; raise InvalidCertificateError when
+# the value is malformed for the instance.
+
+
+def _members(count, msg, duplicate_msg=None):
+    """A set-like witness: members in 1..count(payload) and, if
+    `duplicate_msg` is given, none repeated."""
+    def shape(problem, v):
+        members = set(v)
+        n = count(problem.payload)
+        _cc(all(1 <= x <= n for x in members), msg)
+        if duplicate_msg is not None:
+            _cc(len(members) == len(tuple(v)), duplicate_msg)
+    return shape
+
+
+def _indices(count, msg, duplicate_msg):
+    """An index list: indices in 1..count(payload), none repeated."""
+    def shape(problem, v):
+        idx = list(v)
+        n = count(problem.payload)
+        _cc(all(1 <= i <= n for i in idx), msg)
+        _cc(len(set(idx)) == len(idx), duplicate_msg)
+    return shape
+
+
+def _cycle(minimum):
+    """A cycle: a permutation of all vertices, at least `minimum` of them."""
+    def shape(problem, v):
+        order = list(v)
+        n = problem.payload.num_vertices
+        _cc(len(order) == n, "cycle must visit every vertex exactly once")
+        _cc(sorted(order) == list(range(1, n + 1)), "cycle is not a permutation")
+        _cc(n >= minimum, "cycle too short for this convention")
+    return shape
+
+
+def _assignment_shape(problem, v):
+    _cc(len(v) == problem.payload.num_literals, "assignment length mismatch")
+
+
+def _arc_set_shape(problem, v):
+    arcs = set(tuple(a) for a in v)
+    _cc(arcs <= set(problem.payload.arcs), "certificate arc not in graph")
+
+
+def _coloring_shape(problem, v):
+    colors = list(v)
+    _cc(len(colors) == problem.payload.num_vertices, "one colour per vertex required")
+    set(colors)  # colours must be hashable: the YES test counts them in a set
+
+
+def _clique_partition_shape(problem, v):
+    flat = [x for b in v for x in b]
+    n = problem.payload.num_vertices
+    _cc(all(1 <= x <= n for x in flat), "vertex out of range")
+    _cc(len(flat) == len(set(flat)), "cliques overlap")
+
+
+def _tree_shape(problem, v):
+    edges = [tuple(sorted(e)) for e in v["edges"]]
+    root = v["root"]
+    g = problem.payload.graph
+    _cc(1 <= root <= g.num_vertices, "root out of range")
+    stored = set(g.edges)
+    _cc(all(e in stored for e in edges), "certificate edge not in graph")
+    _cc(len(set(edges)) == len(edges), "duplicate tree edges")
+
+
+# YES tests: problem -> predicate on values that passed the shape check.
+# Each computes what it needs from the instance once, up front, so that an
+# oracle can apply it to every candidate of one instance.
+
+
+def _sat_yes(problem):
+    clauses = problem.payload.clauses
+    return lambda v: all(
+        any((lit > 0) == bool(v[abs(lit) - 1]) for lit in c) for c in clauses
+    )
+
+
+def _adjacent(g):
+    """Ordered pairs (a, b) and (b, a) for each edge (a, b), a < b, of g."""
+    return {pair for a, b in g.effective_edges() if a < b for pair in ((a, b), (b, a))}
+
+
+def _clique_yes(problem):
+    k, adjacent = problem.param, _adjacent(problem.payload)
+    return lambda v: len(v) == k and all(
+        pair in adjacent for pair in combinations(v, 2)
+    )
+
+
+def _node_cover_yes(problem):
+    l, edges = problem.param, problem.payload.edges
+    def yes(v):
+        vs = set(v)
+        return len(vs) <= l and all(i in vs or j in vs for i, j in edges)
+    return yes
+
+
+def _set_packing_yes(problem):
+    l, sets = problem.param, tuple(set(s) for s in problem.payload.sets)
+    def yes(v):
+        if len(v) != l:
+            return False
+        seen = set()
+        for i in v:
+            if not seen.isdisjoint(sets[i - 1]):
+                return False
+            seen |= sets[i - 1]
+        return True
+    return yes
+
+
+def _set_covering_yes(problem):
+    k, sets, target = problem.param, problem.payload.sets, problem.payload.union()
+    def yes(v):
+        # a repeated index counts once; the set is built only when it matters
+        if len(v) > k and len(set(v)) > k:
+            return False
+        covered = set()
+        for i in v:
+            covered.update(sets[i - 1])
+        return covered == target
+    return yes
+
+
+def _exact_cover_yes(problem):
+    sets, target = problem.payload.sets, problem.payload.union()
+    def yes(v):
+        covered = []
+        for i in v:
+            covered.extend(sets[i - 1])
+        return len(covered) == len(set(covered)) and set(covered) == target
+    return yes
+
+
+def _hitting_set_yes(problem):
+    sets = tuple(set(s) for s in problem.payload.sets)
+    def yes(v):
+        w = set(v)
+        return all(len(w & s) == 1 for s in sets)
+    return yes
+
+
+def _feedback_arc_set_yes(problem):
+    k, g = problem.param, problem.payload
+    def yes(v):
+        arcs = set(tuple(a) for a in v)
+        return len(arcs) <= k and _is_acyclic(g.num_vertices, g.arcs, removed_arcs=arcs)
+    return yes
+
+
+def _feedback_node_set_yes(problem):
+    k, g = problem.param, problem.payload
+    def yes(v):
+        nodes = set(v)
+        return len(nodes) <= k and _is_acyclic(
+            g.num_vertices, g.arcs, removed_nodes=nodes)
+    return yes
+
+
+def _tour(arcs_of):
+    """YES test of a cycle: every step, the closing one too, is in
+    arcs_of(payload)."""
+    def build(problem):
+        arcs = arcs_of(problem.payload)
+        return lambda order: all(
+            (order[i], order[(i + 1) % len(order)]) in arcs for i in range(len(order))
+        )
+    return build
+
+
+def _coloring_yes(problem):
+    k, edges = problem.param, problem.payload.edges
+    return lambda colors: all(
+        colors[i - 1] != colors[j - 1] for i, j in edges
+    ) and len(set(colors)) <= k
+
+
+def _clique_partition_yes(problem):
+    l, g = problem.param, problem.payload
+    vertices, adjacent = set(range(1, g.num_vertices + 1)), _adjacent(g)
+    return lambda blocks: (
+        all(pair in adjacent for b in blocks for pair in combinations(b, 2))
+        and len(blocks) <= l
+        and set(x for b in blocks for x in b) == vertices
+    )
+
+
+def _tree_yes(problem):
+    p = problem.payload
+    terminals, weight = set(p.terminals), p.graph.weight_of()
+    def yes(v):
+        edges = [tuple(sorted(e)) for e in v["edges"]]
+        root = v["root"]
+        adj = {root: set()}
+        for i, j in edges:
+            adj.setdefault(i, set()).add(j)
+            adj.setdefault(j, set()).add(i)
+        # a tree: |E| = |V| - 1 and connected
+        if len(edges) != len(adj) - 1 or not terminals <= adj.keys():
+            return False
+        if sum(weight[e] for e in edges) > p.budget:
+            return False
+        stack, seen = [root], {root}
+        while stack:
+            for y in adj[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
+        return len(seen) == len(adj)
+    return yes
+
+
+def _matching_yes(problem):
+    p = problem.payload
+    def yes(v):
+        chosen = [p.triples[i - 1] for i in v]
+        return len(chosen) == p.t_size and all(
+            len(set(t[c] for t in chosen)) == len(chosen) for c in range(3)
+        )
+    return yes
+
+
+def _knapsack_yes(problem):
+    values, target = problem.payload.values, problem.payload.target
+    return lambda v: sum(values[i - 1] for i in v) == target
+
+
+def _partition_yes(problem):
+    values = problem.payload.values
+    total = sum(values)
+    return lambda v: 2 * sum(values[i - 1] for i in v) == total
+
+
+def _max_cut_yes(problem):
+    k, weighted = problem.param, problem.payload.weight_of().items()
+    def yes(v):
+        s = set(v)
+        return sum(w for (i, j), w in weighted if (i in s) != (j in s)) >= k
+    return yes
+
+
+_vertex_count = attrgetter("num_vertices")
+_vertices = _members(_vertex_count, "vertex out of range")
+_clique = _members(_vertex_count, "vertex out of range", "duplicate vertices in clique")
+_set_members = _members(attrgetter("num_sets"), "set index out of range")
+_set_indices = _indices(
+    attrgetter("num_sets"), "set index out of range", "duplicate set indices")
+_elements = _members(attrgetter("universe_size"), "element out of range")
+_triples = _indices(
+    lambda p: len(p.triples), "triple index out of range", "duplicate triple indices")
+_items = _indices(
+    lambda p: len(p.values), "item index out of range", "duplicate item indices")
+
+# problem kind -> (certificate kind, shape check, YES test): the one place
+# that says what witnesses a kind and when a witness means YES
+CERTIFICATES = {
+    "sat": ("assignment", _assignment_shape, _sat_yes),
+    "threesat": ("assignment", _assignment_shape, _sat_yes),
+    # BinaryProgram.satisfied_by checks the assignment's shape itself
+    "ip01": ("binary", lambda problem, v: None, attrgetter("payload.satisfied_by")),
+    "clique": ("vertex_set", _clique, _clique_yes),
+    "node_cover": ("vertex_set", _vertices, _node_cover_yes),
+    "feedback_node_set": ("vertex_set", _vertices, _feedback_node_set_yes),
+    "max_cut": ("vertex_set", _vertices, _max_cut_yes),
+    "set_packing": ("set_indices", _set_indices, _set_packing_yes),
+    "set_covering": ("set_indices", _set_members, _set_covering_yes),
+    "exact_cover": ("set_indices", _set_indices, _exact_cover_yes),
+    "hitting_set": ("element_set", _elements, _hitting_set_yes),
+    "feedback_arc_set": ("arc_set", _arc_set_shape, _feedback_arc_set_yes),
+    "dhcp": ("cycle", _cycle(2), _tour(lambda g: set(g.arcs))),
+    "hcp": ("cycle", _cycle(3), _tour(_adjacent)),
+    "chromatic_number": ("coloring", _coloring_shape, _coloring_yes),
+    "clique_cover": ("clique_partition", _clique_partition_shape, _clique_partition_yes),
+    "steiner_tree": ("tree", _tree_shape, _tree_yes),
+    "three_dim_matching": ("triple_indices", _triples, _matching_yes),
+    "knapsack": ("item_indices", _items, _knapsack_yes),
+    "partition": ("item_indices", _items, _partition_yes),
+}
+
+
+def yes_test(problem):
+    """The instance's YES test: a predicate that is True iff a certificate
+    value that passed the shape check witnesses YES.  Build it once per
+    instance and apply it to many values."""
+    return CERTIFICATES[problem.kind][2](problem)
 
 
 def verify_certificate(problem, cert):
@@ -511,197 +768,12 @@ def verify_certificate(problem, cert):
     out-of-range indices or structurally malformed witnesses.
     """
     kind = problem.kind
-    if kind not in CERT_KIND:
+    if kind not in CERTIFICATES:
         raise UnsupportedKindError("no certificate shape for kind %r" % kind)
-    if cert.kind != CERT_KIND[kind]:
+    cert_kind, shape, yes = CERTIFICATES[kind]
+    if cert.kind != cert_kind:
         raise TypeError(
             "certificate kind %r does not match problem kind %r" % (cert.kind, kind)
         )
-    p = problem.payload
-    v = cert.value
-
-    if kind in ("sat", "threesat"):
-        _cc(len(v) == p.num_literals, "assignment length mismatch")
-        for clause in p.clauses:
-            if not any((lit > 0) == bool(v[abs(lit) - 1]) for lit in clause):
-                return False
-        return True
-
-    if kind == "ip01":
-        return p.satisfied_by(v)
-
-    if kind == "clique":
-        vs = set(v)
-        _cc(all(1 <= x <= p.num_vertices for x in vs), "vertex out of range")
-        _cc(len(vs) == len(tuple(v)), "duplicate vertices in clique")
-        if len(vs) != problem.param:
-            return False
-        edges = set(p.effective_edges())
-        return all(
-            (min(a, b), max(a, b)) in edges
-            for a in vs
-            for b in vs
-            if a < b
-        )
-
-    if kind == "node_cover":
-        vs = set(v)
-        _cc(all(1 <= x <= p.num_vertices for x in vs), "vertex out of range")
-        if len(vs) > problem.param:
-            return False
-        return all(i in vs or j in vs for i, j in p.edges)
-
-    if kind == "set_packing":
-        idx = list(v)
-        _cc(all(1 <= i <= p.num_sets for i in idx), "set index out of range")
-        _cc(len(set(idx)) == len(idx), "duplicate set indices")
-        if len(idx) != problem.param:
-            return False
-        chosen = [set(p.sets[i - 1]) for i in idx]
-        for a in range(len(chosen)):
-            for b in range(a + 1, len(chosen)):
-                if chosen[a] & chosen[b]:
-                    return False
-        return True
-
-    if kind == "set_covering":
-        idx = set(v)
-        _cc(all(1 <= i <= p.num_sets for i in idx), "set index out of range")
-        if len(idx) > problem.param:
-            return False
-        covered = set()
-        for i in idx:
-            covered.update(p.sets[i - 1])
-        return covered == p.union()
-
-    if kind == "exact_cover":
-        idx = list(v)
-        _cc(all(1 <= i <= p.num_sets for i in idx), "set index out of range")
-        _cc(len(set(idx)) == len(idx), "duplicate set indices")
-        covered = []
-        for i in idx:
-            covered.extend(p.sets[i - 1])
-        return len(covered) == len(set(covered)) and set(covered) == p.union()
-
-    if kind == "hitting_set":
-        w = set(v)
-        _cc(all(1 <= x <= p.universe_size for x in w), "element out of range")
-        return all(len(w & set(s)) == 1 for s in p.sets)
-
-    if kind == "feedback_arc_set":
-        arcs = set(tuple(a) for a in v)
-        _cc(arcs <= set(p.arcs), "certificate arc not in graph")
-        if len(arcs) > problem.param:
-            return False
-        return _is_acyclic(p.num_vertices, p.arcs, removed_arcs=arcs)
-
-    if kind == "feedback_node_set":
-        nodes = set(v)
-        _cc(all(1 <= x <= p.num_vertices for x in nodes), "vertex out of range")
-        if len(nodes) > problem.param:
-            return False
-        return _is_acyclic(p.num_vertices, p.arcs, removed_nodes=nodes)
-
-    if kind == "dhcp":
-        order = list(v)
-        _check_cycle_order(order, p.num_vertices, minimum=2)
-        arcs = set(p.arcs)
-        return all(
-            (order[i], order[(i + 1) % len(order)]) in arcs for i in range(len(order))
-        )
-
-    if kind == "hcp":
-        order = list(v)
-        _check_cycle_order(order, p.num_vertices, minimum=3)
-        edges = set(p.effective_edges())
-        for i in range(len(order)):
-            a, b = order[i], order[(i + 1) % len(order)]
-            if (min(a, b), max(a, b)) not in edges:
-                return False
-        return True
-
-    if kind == "chromatic_number":
-        colors = list(v)
-        _cc(len(colors) == p.num_vertices, "one colour per vertex required")
-        if len(set(colors)) > problem.param:
-            return False
-        return all(colors[i - 1] != colors[j - 1] for i, j in p.edges)
-
-    if kind == "clique_cover":
-        blocks = [list(b) for b in v]
-        flat = [x for b in blocks for x in b]
-        _cc(all(1 <= x <= p.num_vertices for x in flat), "vertex out of range")
-        _cc(len(flat) == len(set(flat)), "cliques overlap")
-        if len(blocks) > problem.param:
-            return False
-        if set(flat) != set(range(1, p.num_vertices + 1)):
-            return False
-        edges = set(p.effective_edges())
-        for b in blocks:
-            for x in range(len(b)):
-                for y in range(x + 1, len(b)):
-                    a, c = sorted((b[x], b[y]))
-                    if (a, c) not in edges:
-                        return False
-        return True
-
-    if kind == "steiner_tree":
-        edges = [tuple(sorted(e)) for e in v["edges"]]
-        root = v["root"]
-        g = p.graph
-        _cc(1 <= root <= g.num_vertices, "root out of range")
-        stored = set(g.edges)
-        _cc(all(e in stored for e in edges), "certificate edge not in graph")
-        _cc(len(set(edges)) == len(edges), "duplicate tree edges")
-        vertices = {root}
-        for i, j in edges:
-            vertices.update((i, j))
-        # tree: connected and |E| = |V| - 1
-        if len(edges) != len(vertices) - 1:
-            return False
-        adj = _adjacency(edges)
-        stack, seen = [root], {root}
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != vertices:
-            return False
-        if not set(p.terminals) <= vertices:
-            return False
-        wmap = g.weight_of()
-        return sum(wmap[e] for e in edges) <= p.budget
-
-    if kind == "three_dim_matching":
-        idx = list(v)
-        _cc(all(1 <= i <= len(p.triples) for i in idx), "triple index out of range")
-        _cc(len(set(idx)) == len(idx), "duplicate triple indices")
-        chosen = [p.triples[i - 1] for i in idx]
-        if len(chosen) != p.t_size:
-            return False
-        for k in range(3):
-            if len(set(t[k] for t in chosen)) != len(chosen):
-                return False
-        return True
-
-    if kind in ("knapsack", "partition"):
-        idx = list(v)
-        _cc(all(1 <= i <= len(p.values) for i in idx), "item index out of range")
-        _cc(len(set(idx)) == len(idx), "duplicate item indices")
-        total = sum(p.values[i - 1] for i in idx)
-        if kind == "knapsack":
-            return total == p.target
-        return 2 * total == sum(p.values)
-
-    if kind == "max_cut":
-        s = set(v)
-        _cc(all(1 <= x <= p.num_vertices for x in s), "vertex out of range")
-        wmap = p.weight_of()
-        cut = sum(
-            w for (i, j), w in wmap.items() if (i in s) != (j in s)
-        )
-        return cut >= problem.param
-
-    raise UnsupportedKindError(kind)
+    shape(problem, cert.value)
+    return yes(problem)(cert.value)

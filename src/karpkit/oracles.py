@@ -1,22 +1,33 @@
 """Exhaustive decision oracles: desk-scale ground truth with certificates.
 
-Every oracle enumerates its full candidate space (within a leaf budget) in a
-fixed lexicographic order, so verdicts and witnesses are deterministic.
-Pruning only skips candidates that provably cannot verify.
+An oracle never re-states what a witness is: it tests candidates with
+`instances.yes_test`, the YES test that `verify_certificate` applies after
+its shape check.  Most kinds are one entry in `CANDIDATES`: the size of the
+candidate space and an iterator over it in a fixed lexicographic order.  One
+loop refuses a space larger than the budget, then returns the first
+candidate that passes the YES test.  Three kinds keep searches of their own:
+ip01 calls `solve_ip` (bound-pruned, guarded by its 2^v space), dhcp/hcp
+walk vertex orders depth-first with adjacency pruning, and clique_cover
+walks restricted growth strings; the last two count visited nodes or leaves
+against the budget and use explicit stacks, not recursion.  Verdicts and
+witnesses are deterministic, and every witness is checked once more by
+`verify_certificate` before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Optional
 
 from .instances import (
+    CERTIFICATES,
     Certificate,
     UnsupportedKindError,
     validate,
     verify_certificate,
+    yes_test,
 )
 from .binprog import VarCapExceededError, solve_ip
 
@@ -48,18 +59,77 @@ def _guard(space, budget, kind):
         )
 
 
-def _subsets_upto(items, max_size):
-    for size in range(0, max_size + 1):
-        yield from combinations(items, size)
+def _exceeded(kind, budget):
+    return BudgetExceededError("%s search exceeded budget %d" % (kind, budget))
 
 
-def _yes(problem, kind, value, explored):
-    cert = Certificate(kind, value)
+def _yes(problem, value, explored):
+    cert = Certificate(CERTIFICATES[problem.kind][0], value)
     if not verify_certificate(problem, cert):
         raise OracleSelfCheckError(
             "%s oracle witness %r does not verify" % (problem.kind, value)
         )
     return OracleVerdict(True, cert, explored)
+
+
+def _subsets(items, max_size):
+    """How many subsets of `items` have at most `max_size` members, and
+    those subsets by size, then lexicographically."""
+    n = len(items)
+    sizes = range(min(max_size, n) + 1)
+    space = 1 << n if max_size >= n else sum(comb(n, i) for i in sizes)
+    return space, chain.from_iterable(combinations(items, i) for i in sizes)
+
+
+def _first(n):
+    return range(1, n + 1)
+
+
+def _choose(n, k):
+    """How many k-subsets 1..n has, and those subsets lexicographically."""
+    return comb(n, k), combinations(_first(n), k)
+
+
+def _partitions(p, _):
+    space, candidates = _subsets(_first(len(p.values)), len(p.values))
+    # an odd total has no half; the space is still guarded first
+    return space, () if sum(p.values) % 2 else candidates
+
+
+def _trees(g):
+    """Root-only trees (no edges) first, then each edge subset rooted at
+    each of its endpoints."""
+    for root in _first(g.num_vertices):
+        yield {"edges": (), "root": root}
+    for size in range(1, len(g.edges) + 1):
+        for combo in combinations(g.edges, size):
+            for root in sorted(set(v for edge in combo for v in edge)):
+                yield {"edges": combo, "root": root}
+
+
+# kind -> (payload, param) -> (size of the candidate space, candidate
+# certificate values in the order they are tried)
+CANDIDATES = {
+    "sat": lambda f, _: (
+        1 << f.num_literals, product((False, True), repeat=f.num_literals)),
+    "clique": lambda g, k: _choose(g.num_vertices, k),
+    "set_packing": lambda f, l: _choose(f.num_sets, l),
+    "node_cover": lambda g, l: _subsets(_first(g.num_vertices), l),
+    "set_covering": lambda f, k: _subsets(_first(f.num_sets), k),
+    "feedback_node_set": lambda g, k: _subsets(_first(g.num_vertices), k),
+    "feedback_arc_set": lambda g, k: _subsets(g.arcs, k),
+    "chromatic_number": lambda g, k: (
+        max(k, 1) ** g.num_vertices, product(_first(k), repeat=g.num_vertices)),
+    "exact_cover": lambda f, _: _subsets(_first(f.num_sets), f.num_sets),
+    "hitting_set": lambda f, _: _subsets(_first(f.universe_size), f.universe_size),
+    "steiner_tree": lambda s, _: (
+        (1 << len(s.graph.edges)) * max(s.graph.num_vertices, 1), _trees(s.graph)),
+    "three_dim_matching": lambda f, _: _choose(len(f.triples), f.t_size),
+    "knapsack": lambda p, _: _subsets(_first(len(p.values)), len(p.values)),
+    "partition": _partitions,
+    "max_cut": lambda g, _: _subsets(_first(g.num_vertices), g.num_vertices),
+}
+CANDIDATES["threesat"] = CANDIDATES["sat"]
 
 
 def solve(problem, budget=DEFAULT_BUDGET):
@@ -68,17 +138,16 @@ def solve(problem, budget=DEFAULT_BUDGET):
     validate(problem)
     kind = problem.kind
     p = problem.payload
-
-    if kind in ("sat", "threesat"):
-        m = p.num_literals
-        _guard(1 << m, budget, kind)
+    if kind in CANDIDATES:
+        space, candidates = CANDIDATES[kind](p, problem.param)
+        if space:  # an empty space (l > s, t > |U|) is a NO under any budget
+            _guard(space, budget, kind)
+        is_yes = yes_test(problem)
         explored = 0
-        for bits in product((False, True), repeat=m):
-            explored += 1
-            if all(any((lit > 0) == bits[abs(lit) - 1] for lit in c) for c in p.clauses):
-                return _yes(problem, "assignment", bits, explored)
+        for explored, value in enumerate(candidates, 1):
+            if is_yes(value):
+                return _yes(problem, value, explored)
         return OracleVerdict(False, None, explored)
-
     if kind == "ip01":
         _guard(1 << p.num_variables, budget, kind)
         try:
@@ -88,254 +157,66 @@ def solve(problem, budget=DEFAULT_BUDGET):
         explored = 1 << p.num_variables
         if solution is None:
             return OracleVerdict(False, None, explored)
-        return _yes(problem, "binary", solution, explored)
-
-    if kind == "clique":
-        n, k = p.num_vertices, problem.param
-        _guard(comb(n, k), budget, kind)
-        edges = set(p.effective_edges())
-        explored = 0
-        for combo in combinations(range(1, n + 1), k):
-            explored += 1
-            if all((a, b) in edges for a, b in combinations(combo, 2)):
-                return _yes(problem, "vertex_set", combo, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "node_cover":
-        n, l = p.num_vertices, problem.param
-        _guard(sum(comb(n, i) for i in range(l + 1)), budget, kind)
-        explored = 0
-        for combo in _subsets_upto(range(1, n + 1), l):
-            explored += 1
-            chosen = set(combo)
-            if all(i in chosen or j in chosen for i, j in p.edges):
-                return _yes(problem, "vertex_set", combo, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "set_packing":
-        s, l = p.num_sets, problem.param
-        if l > s:
-            return OracleVerdict(False, None, 0)
-        _guard(comb(s, l), budget, kind)
-        explored = 0
-        sets = [set(x) for x in p.sets]
-        for combo in combinations(range(1, s + 1), l):
-            explored += 1
-            seen = set()
-            ok = True
-            for i in combo:
-                if seen & sets[i - 1]:
-                    ok = False
-                    break
-                seen |= sets[i - 1]
-            if ok:
-                return _yes(problem, "set_indices", combo, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "set_covering":
-        s, k = p.num_sets, problem.param
-        _guard(sum(comb(s, i) for i in range(k + 1)), budget, kind)
-        target = p.union()
-        explored = 0
-        for combo in _subsets_upto(range(1, s + 1), k):
-            explored += 1
-            covered = set()
-            for i in combo:
-                covered.update(p.sets[i - 1])
-            if covered == target:
-                return _yes(problem, "set_indices", combo, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "feedback_node_set":
-        n, k = p.num_vertices, problem.param
-        _guard(sum(comb(n, i) for i in range(k + 1)), budget, kind)
-        explored = 0
-        for combo in _subsets_upto(range(1, n + 1), k):
-            explored += 1
-            cert = Certificate("vertex_set", combo)
-            if verify_certificate(problem, cert):
-                return OracleVerdict(True, cert, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "feedback_arc_set":
-        e, k = len(p.arcs), problem.param
-        _guard(sum(comb(e, i) for i in range(min(k, e) + 1)), budget, kind)
-        explored = 0
-        for combo in _subsets_upto(p.arcs, min(k, e)):
-            explored += 1
-            cert = Certificate("arc_set", combo)
-            if verify_certificate(problem, cert):
-                return OracleVerdict(True, cert, explored)
-        return OracleVerdict(False, None, explored)
-
+        return _yes(problem, solution, explored)
     if kind in ("dhcp", "hcp"):
         return _solve_hamiltonian(problem, budget)
-
-    if kind == "chromatic_number":
-        n, k = p.num_vertices, problem.param
-        _guard(max(k, 1) ** n, budget, kind)
-        explored = 0
-        colors = range(1, k + 1)
-        for assignment in product(colors, repeat=n):
-            explored += 1
-            if all(assignment[i - 1] != assignment[j - 1] for i, j in p.edges):
-                return _yes(problem, "coloring", assignment, explored)
-        return OracleVerdict(False, None, explored)
-
     if kind == "clique_cover":
         return _solve_clique_cover(problem, budget)
-
-    if kind == "exact_cover":
-        s = p.num_sets
-        _guard(1 << s, budget, kind)
-        explored = 0
-        target = p.union()
-        for combo in _subsets_upto(range(1, s + 1), s):
-            explored += 1
-            covered = []
-            for i in combo:
-                covered.extend(p.sets[i - 1])
-            if len(covered) == len(set(covered)) and set(covered) == target:
-                return _yes(problem, "set_indices", combo, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "hitting_set":
-        u = p.universe_size
-        _guard(1 << u, budget, kind)
-        explored = 0
-        sets = [set(s) for s in p.sets]
-        for combo in _subsets_upto(range(1, u + 1), u):
-            explored += 1
-            w = set(combo)
-            if all(len(w & s) == 1 for s in sets):
-                return _yes(problem, "element_set", combo, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "steiner_tree":
-        e = len(p.graph.edges)
-        _guard((1 << e) * max(p.graph.num_vertices, 1), budget, kind)
-        explored = 0
-        # root-only candidates first (zero-edge trees), then edge subsets
-        for root in range(1, p.graph.num_vertices + 1):
-            explored += 1
-            cert = Certificate("tree", {"edges": (), "root": root})
-            if verify_certificate(problem, cert):
-                return OracleVerdict(True, cert, explored)
-        for size in range(1, e + 1):
-            for combo in combinations(p.graph.edges, size):
-                endpoints = sorted(set(v for edge in combo for v in edge))
-                for root in endpoints:
-                    explored += 1
-                    cert = Certificate("tree", {"edges": combo, "root": root})
-                    if verify_certificate(problem, cert):
-                        return OracleVerdict(True, cert, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "three_dim_matching":
-        u = len(p.triples)
-        if p.t_size > u:
-            return OracleVerdict(False, None, 0)
-        _guard(comb(u, p.t_size), budget, kind)
-        explored = 0
-        for combo in combinations(range(1, u + 1), p.t_size):
-            explored += 1
-            cert = Certificate("triple_indices", combo)
-            if verify_certificate(problem, cert):
-                return OracleVerdict(True, cert, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind in ("knapsack", "partition"):
-        r = len(p.values)
-        _guard(1 << r, budget, kind)
-        if kind == "knapsack":
-            target = p.target
-        else:
-            total = sum(p.values)
-            if total % 2 == 1:
-                return OracleVerdict(False, None, 0)
-            target = total // 2
-        explored = 0
-        for combo in _subsets_upto(range(1, r + 1), r):
-            explored += 1
-            if sum(p.values[i - 1] for i in combo) == target:
-                return _yes(problem, "item_indices", combo, explored)
-        return OracleVerdict(False, None, explored)
-
-    if kind == "max_cut":
-        n = p.num_vertices
-        _guard(1 << n, budget, kind)
-        wmap = p.weight_of()
-        explored = 0
-        for combo in _subsets_upto(range(1, n + 1), n):
-            explored += 1
-            s = set(combo)
-            cut = sum(w for (i, j), w in wmap.items() if (i in s) != (j in s))
-            if cut >= problem.param:
-                return _yes(problem, "vertex_set", combo, explored)
-        return OracleVerdict(False, None, explored)
-
     raise UnsupportedKindError("no oracle for kind %r" % kind)
 
 
 def _solve_hamiltonian(problem, budget):
-    """DFS over vertex orders anchored at vertex 1; adjacency pruning only
-    skips orders that cannot extend to a cycle."""
+    """Depth-first search over vertex orders anchored at vertex 1, trying
+    successors in increasing order; adjacency pruning only skips orders
+    that cannot extend to a cycle.  Every visited node counts against the
+    budget."""
     p = problem.payload
     n = p.num_vertices
     directed = problem.kind == "dhcp"
-    minimum = 2 if directed else 3
-    if n < minimum:
+    if n < (2 if directed else 3):
         return OracleVerdict(False, None, 0)
     if directed:
-        succ = {v: sorted(w for u, w in p.arcs if u == v) for v in range(1, n + 1)}
-        has_arc = set(p.arcs)
+        succ = {v: sorted(w for u, w in p.arcs if u == v) for v in _first(n)}
+        closing = {u for u, w in p.arcs if w == 1}
     else:
-        succ = {v: set() for v in range(1, n + 1)}
+        succ = {v: set() for v in _first(n)}
         for i, j in p.effective_edges():
             succ[i].add(j)
             succ[j].add(i)
         succ = {v: sorted(ws) for v, ws in succ.items()}
-        has_arc = None
+        closing = set(succ[1])
 
-    explored = 0
-    path = [1]
-    used = {1}
-
-    def closes(last):
-        if directed:
-            return (last, 1) in has_arc
-        return 1 in succ[last]
-
-    def dfs():
-        # every visited search node counts against the budget; pruning only
-        # cuts subtrees, it never skips a candidate that could verify
-        nonlocal explored
+    path, used = [1], {1}
+    untried = [iter(succ[1])]  # untried[d]: successors of path[d] left to try
+    explored = 1
+    if explored > budget:
+        raise _exceeded(problem.kind, budget)
+    while untried:
+        for w in untried[-1]:
+            if w not in used:
+                break
+        else:
+            untried.pop()
+            used.discard(path.pop())
+            continue
+        path.append(w)
+        used.add(w)
         explored += 1
         if explored > budget:
-            raise BudgetExceededError(
-                "%s search exceeded budget %d" % (problem.kind, budget)
-            )
-        if len(path) == n:
-            return closes(path[-1])
-        for w in succ[path[-1]]:
-            if w in used:
-                continue
-            path.append(w)
-            used.add(w)
-            if dfs():
-                return True
-            used.discard(w)
-            path.pop()
-        return False
-
-    if dfs():
-        return _yes(problem, "cycle", tuple(path), explored)
+            raise _exceeded(problem.kind, budget)
+        if len(path) < n:
+            untried.append(iter(succ[w]))
+        elif w in closing:
+            return _yes(problem, tuple(path), explored)
+        else:
+            used.discard(path.pop())
     return OracleVerdict(False, None, explored)
 
 
 def _solve_clique_cover(problem, budget):
-    """Enumerate set partitions of the vertices (restricted growth strings)
-    with at most `l` blocks, lexicographically."""
+    """Enumerate set partitions of the vertices with at most `l` blocks as
+    restricted growth strings, lexicographically.  Every leaf counts
+    against the budget."""
     p = problem.payload
     n, l = p.num_vertices, problem.param
     if n == 0:
@@ -343,42 +224,27 @@ def _solve_clique_cover(problem, budget):
         return OracleVerdict(True, cert, 1)
     if l == 0:
         return OracleVerdict(False, None, 0)
-    edges = set(p.effective_edges())
+    is_yes = yes_test(problem)
+    rgs = [0] * n  # rgs[v - 1]: block of vertex v
+    top = [0] * n  # top[i]: max(rgs[:i + 1])
     explored = 0
-
-    def blocks_of(rgs):
-        blocks = {}
+    while True:
+        explored += 1
+        if explored > budget:
+            raise _exceeded("clique_cover", budget)
+        blocks = [[] for _ in range(top[-1] + 1)]
         for v, b in enumerate(rgs, start=1):
-            blocks.setdefault(b, []).append(v)
-        return tuple(tuple(b) for _, b in sorted(blocks.items()))
-
-    def is_clique(block):
-        return all(
-            (a, b) in edges for idx, a in enumerate(block) for b in block[idx + 1 :]
-        )
-
-    def rec(rgs, max_used):
-        nonlocal explored
-        v = len(rgs)
-        if v == n:
-            explored += 1
-            if explored > budget:
-                raise BudgetExceededError(
-                    "clique_cover search exceeded budget %d" % budget
-                )
-            blocks = blocks_of(rgs)
-            if all(is_clique(b) for b in blocks):
-                return blocks
-            return None
-        for b in range(0, min(max_used + 1, l - 1) + 1):
-            rgs.append(b)
-            result = rec(rgs, max(max_used, b))
-            if result is not None:
-                return result
-            rgs.pop()
-        return None
-
-    result = rec([0], 0)
-    if result is not None:
-        return _yes(problem, "clique_partition", result, explored)
-    return OracleVerdict(False, None, explored)
+            blocks[b].append(v)
+        blocks = tuple(map(tuple, blocks))
+        if is_yes(blocks):
+            return _yes(problem, blocks, explored)
+        # next string: bump the last position that can grow, zero the rest
+        i = n - 1
+        while i > 0 and rgs[i] >= min(top[i - 1] + 1, l - 1):
+            i -= 1
+        if i == 0:
+            return OracleVerdict(False, None, explored)
+        rgs[i] += 1
+        top[i] = max(top[i - 1], rgs[i])
+        rgs[i + 1:] = [0] * (n - i - 1)
+        top[i + 1:] = [top[i]] * (n - i - 1)

@@ -7,7 +7,13 @@ import pytest
 from karpkit.cli import main
 from karpkit.genlab import GeneratorSpec, generate
 from karpkit.instances import Problem, UGraph
-from karpkit.serialize import dumps_problem, loads_certificate, loads_problem
+from karpkit.reductions import apply_chain, chain_from_names
+from karpkit.serialize import (
+    dumps_problem,
+    loads_certificate,
+    loads_problem,
+    problem_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -220,3 +226,61 @@ def test_outputs_re_readable(tmp_path, capsys):
         capsys, "reduce", path, "--via", "set_packing_to_ip", "-o", str(out_file)
     )[0] == 0
     assert run(capsys, "measure", str(out_file))[0] == 0
+
+
+def test_solve_long_hamiltonian_cycle_does_not_recurse(tmp_path, capsys):
+    n = 1200
+    cycle = tuple((i, i + 1) for i in range(1, n)) + ((1, n),)
+    path = _write(tmp_path, "c.json", dumps_problem(Problem("hcp", UGraph.make(n, cycle))))
+    code, out, err = run(capsys, "solve", path)
+    assert code == 0 and out.strip() == "YES"
+    assert "explored %d candidates" % n in err
+
+
+def test_solve_long_path_clique_cover_does_not_recurse(tmp_path, capsys):
+    n = 1100
+    edges = tuple((i, i + 1) for i in range(1, n))
+    problem = Problem("clique_cover", UGraph.make(n, edges), param=1)
+    code, out, _ = run(capsys, "solve", _write(tmp_path, "p.json", dumps_problem(problem)))
+    assert code == 1 and out.strip() == "NO"
+
+
+def _lift_manifest(tmp_path, source, names):
+    stages = apply_chain(chain_from_names(names), source)
+    manifest = {
+        "source": problem_to_json(source),
+        "steps": [
+            {"reduction": name, "instance": problem_to_json(stage)}
+            for name, stage in zip(names, stages[1:])
+        ],
+    }
+    return _write(tmp_path, "chain.json", json.dumps(manifest))
+
+
+FAS_2CYCLE = (
+    '{"kind": "feedback_arc_set", "payload": '
+    '{"graph": {"num_vertices": 2, "arcs": [[1, 2], [2, 1]]}, "k": 1}}'
+)
+
+
+@pytest.mark.parametrize("source, names, cert, message", [
+    (FAS_2CYCLE, ("fas_to_fns",), '{"kind": "vertex_set", "value": [99]}',
+     "vertex out of range"),
+    ('{"kind": "chromatic_number", "payload": {"graph": {"num_vertices": 3, '
+     '"edges": [[1, 2], [2, 3]]}, "k": 2}}', ("chromatic_to_clique_cover",),
+     '{"kind": "clique_partition", "value": [[1, 3], [99]]}', "vertex out of range"),
+], ids=["fas_to_fns", "chromatic_to_clique_cover"])
+def test_lift_rejects_malformed_certificate(tmp_path, capsys, source, names, cert, message):
+    chain = _lift_manifest(tmp_path, loads_problem(source), names)
+    code, out, err = run(capsys, "lift", "--chain", chain,
+                         "--cert", _write(tmp_path, "c.json", cert))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_lift_refuses_certificate_that_does_not_verify(tmp_path, capsys):
+    chain = _lift_manifest(tmp_path, loads_problem(FAS_2CYCLE), ("fas_to_fns",))
+    cert = _write(tmp_path, "c.json", '{"kind": "vertex_set", "value": []}')
+    code, out, err = run(capsys, "lift", "--chain", chain, "--cert", cert)
+    assert code == 1 and out == ""
+    assert "does not verify for the chain's final instance" in err

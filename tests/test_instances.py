@@ -1,5 +1,6 @@
 import pytest
 
+from karpkit.binprog import BinaryProgram, ConstraintRow, VariableTag
 from karpkit.instances import (
     Certificate,
     CnfFormula,
@@ -7,6 +8,7 @@ from karpkit.instances import (
     IntegerList,
     InvalidCertificateError,
     InvalidInstanceError,
+    KINDS,
     Problem,
     SetFamily,
     SteinerInstance,
@@ -196,3 +198,93 @@ def test_clique_cover_on_complement_flagged_graph():
     # complement of {1-2} on 3 vertices has edges {1-3},{2-3}
     assert verify_certificate(p, Certificate("clique_partition", ((1, 3), (2,))))
     assert not verify_certificate(p, Certificate("clique_partition", ((1, 2), (3,))))
+
+
+_PATH3 = UGraph(3, ((1, 2), (2, 3)))
+_ARCS3 = DiGraph(3, ((1, 2), (2, 3), (3, 1)))
+_SETS = SetFamily(3, ((1, 2), (2, 3)))
+_STEINER = SteinerInstance(UGraph(3, ((1, 2), (2, 3)), (1, 1)), (1, 3), 2)
+_TRIPLE = TripleFamily(1, ((1, 1, 1),))
+_IP = BinaryProgram(
+    (VariableTag(("x", 1)), VariableTag(("x", 2))),
+    (ConstraintRow(((0, 1), (1, 1)), "=", 1),),
+)
+
+# (problem, certificate kind, malformed value, message): at least one per kind
+MALFORMED = [
+    (sat(2, (1,)), "assignment", (True,), "assignment length mismatch"),
+    (Problem("threesat", CnfFormula(1, ((1,),))), "assignment", (),
+     "assignment length mismatch"),
+    (Problem("ip01", _IP), "binary", (1,), "assignment length mismatch"),
+    (Problem("ip01", _IP), "binary", (1, 2), "assignment must be binary"),
+    (Problem("clique", _PATH3, 2), "vertex_set", (1, 4), "vertex out of range"),
+    (Problem("clique", _PATH3, 2), "vertex_set", (2, 2),
+     "duplicate vertices in clique"),
+    (Problem("node_cover", _PATH3, 1), "vertex_set", (0,), "vertex out of range"),
+    (Problem("feedback_node_set", _ARCS3, 1), "vertex_set", (4,),
+     "vertex out of range"),
+    (Problem("max_cut", UGraph(2, ((1, 2),), (1,)), 1), "vertex_set", (3,),
+     "vertex out of range"),
+    (Problem("set_packing", _SETS, 1), "set_indices", (3,), "set index out of range"),
+    (Problem("set_packing", _SETS, 2), "set_indices", (1, 1), "duplicate set indices"),
+    (Problem("set_covering", _SETS, 1), "set_indices", (0,), "set index out of range"),
+    (Problem("exact_cover", _SETS), "set_indices", (2, 2), "duplicate set indices"),
+    (Problem("hitting_set", _SETS), "element_set", (4,), "element out of range"),
+    (Problem("feedback_arc_set", _ARCS3, 1), "arc_set", ((1, 3),),
+     "certificate arc not in graph"),
+    (Problem("dhcp", _ARCS3), "cycle", (1, 2),
+     "cycle must visit every vertex exactly once"),
+    (Problem("dhcp", _ARCS3), "cycle", (1, 1, 2), "cycle is not a permutation"),
+    (Problem("hcp", UGraph(2, ((1, 2),))), "cycle", (2, 1),
+     "cycle too short for this convention"),
+    (Problem("chromatic_number", _PATH3, 2), "coloring", (1, 2),
+     "one colour per vertex required"),
+    (Problem("clique_cover", _PATH3, 2), "clique_partition", ((1, 2), (4,)),
+     "vertex out of range"),
+    (Problem("clique_cover", _PATH3, 2), "clique_partition", ((1, 2), (2, 3)),
+     "cliques overlap"),
+    (Problem("steiner_tree", _STEINER), "tree", {"edges": (), "root": 0},
+     "root out of range"),
+    (Problem("steiner_tree", _STEINER), "tree", {"edges": ((1, 3),), "root": 1},
+     "certificate edge not in graph"),
+    (Problem("steiner_tree", _STEINER), "tree", {"edges": ((1, 2), (2, 1)), "root": 1},
+     "duplicate tree edges"),
+    (Problem("three_dim_matching", _TRIPLE), "triple_indices", (2,),
+     "triple index out of range"),
+    (Problem("three_dim_matching", _TRIPLE), "triple_indices", (1, 1),
+     "duplicate triple indices"),
+    (Problem("knapsack", IntegerList((1, 2), 3)), "item_indices", (0,),
+     "item index out of range"),
+    (Problem("partition", IntegerList((1, 1))), "item_indices", (1, 1),
+     "duplicate item indices"),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, cert_kind, value, message", MALFORMED,
+    ids=["%s-%d" % (case[0].kind, i) for i, case in enumerate(MALFORMED)],
+)
+def test_malformed_certificate_fails_its_shape_check(
+    problem, cert_kind, value, message
+):
+    with pytest.raises(InvalidCertificateError) as exc:
+        verify_certificate(problem, Certificate(cert_kind, value))
+    assert str(exc.value) == message
+
+
+def test_malformed_cases_cover_every_certificate_kind():
+    kinds = {case[0].kind for case in MALFORMED}
+    assert kinds == {k for k in KINDS if k != "job_sequencing"}
+
+
+@pytest.mark.parametrize("problem, cert_kind, value, expected", [
+    # a repeated index counts once against k
+    (Problem("set_covering", _SETS, 1), "set_indices", (1, 1), False),
+    (Problem("set_covering", SetFamily(2, ((1, 2), (2,))), 1), "set_indices", (1, 1),
+     True),
+    # a proper colouring that uses more than k colours
+    (Problem("chromatic_number", _PATH3, 1), "coloring", (1, 2, 1), False),
+    (Problem("chromatic_number", _PATH3, 2), "coloring", (1, 2, 1), True),
+])
+def test_yes_test_counts_distinct_members(problem, cert_kind, value, expected):
+    assert verify_certificate(problem, Certificate(cert_kind, value)) is expected

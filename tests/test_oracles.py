@@ -99,6 +99,22 @@ def test_witness_self_check_is_not_an_assert(monkeypatch):
         solve(Problem("partition", IntegerList((2, 2))))
 
 
+def test_empty_space_is_no_under_any_budget():
+    packing = Problem("set_packing", SetFamily(2, ((1,), (2,))), param=3)
+    matching = Problem("three_dim_matching", TripleFamily(2, ((1, 1, 1),)))
+    for problem in (packing, matching):
+        v = solve(problem, budget=-1)
+        assert (v.answer, v.explored) == (False, 0)
+
+
+def test_odd_partition_is_guarded_before_its_shortcut():
+    odd = Problem("partition", IntegerList((1, 1, 1)))
+    v = solve(odd, budget=8)
+    assert (v.answer, v.explored) == (False, 0)
+    with pytest.raises(BudgetExceededError):
+        solve(odd, budget=7)
+
+
 def test_explored_counter_monotone():
     p = Problem("partition", IntegerList((1, 2, 3, 4)))
     v = solve(p)
