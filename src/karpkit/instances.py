@@ -446,29 +446,36 @@ def _cc(cond, msg):
         raise InvalidCertificateError(msg)
 
 
-def _is_acyclic(num_vertices, arcs, removed_nodes=(), removed_arcs=()):
-    removed_nodes = set(removed_nodes)
-    removed_arcs = set(removed_arcs)
-    succ = {}
-    indeg = {v: 0 for v in range(1, num_vertices + 1) if v not in removed_nodes}
-    for a in arcs:
-        if a in removed_arcs:
-            continue
-        u, v = a
-        if u in removed_nodes or v in removed_nodes:
-            continue
-        succ.setdefault(u, []).append(v)
+def _acyclic_without(g):
+    """Acyclicity of digraph g once some nodes or arcs are taken out, with
+    g's successor lists and in-degrees built once: a predicate on
+    (removed nodes, removed arcs), both sets, nodes within 1..n."""
+    n = g.num_vertices
+    succ = [[] for _ in range(n + 1)]
+    indeg = [0] * (n + 1)
+    for u, v in g.arcs:
+        succ[u].append(v)
         indeg[v] += 1
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in succ.get(v, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(indeg)
+    def acyclic(nodes, arcs):
+        left = indeg[:]
+        for u in nodes:
+            for w in succ[u]:
+                left[w] -= 1
+        for u, v in arcs:
+            left[v] -= succ[u].count(v)
+        # Kahn's algorithm over the vertices and arcs left
+        queue = [v for v in range(1, n + 1) if not left[v] and v not in nodes]
+        seen = len(nodes)
+        while queue:
+            v = queue.pop()
+            seen += 1
+            for w in succ[v]:
+                if w not in nodes and (v, w) not in arcs:
+                    left[w] -= 1
+                    if not left[w]:
+                        queue.append(w)
+        return seen == n
+    return acyclic
 
 
 # Shape checks: (problem, value) -> None; raise InvalidCertificateError when
@@ -618,19 +625,18 @@ def _hitting_set_yes(problem):
 
 
 def _feedback_arc_set_yes(problem):
-    k, g = problem.param, problem.payload
+    k, acyclic = problem.param, _acyclic_without(problem.payload)
     def yes(v):
         arcs = set(tuple(a) for a in v)
-        return len(arcs) <= k and _is_acyclic(g.num_vertices, g.arcs, removed_arcs=arcs)
+        return len(arcs) <= k and acyclic((), arcs)
     return yes
 
 
 def _feedback_node_set_yes(problem):
-    k, g = problem.param, problem.payload
+    k, acyclic = problem.param, _acyclic_without(problem.payload)
     def yes(v):
         nodes = set(v)
-        return len(nodes) <= k and _is_acyclic(
-            g.num_vertices, g.arcs, removed_nodes=nodes)
+        return len(nodes) <= k and acyclic(nodes, ())
     return yes
 
 

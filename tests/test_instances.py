@@ -184,6 +184,17 @@ def test_feedback_node_set_breaks_cycles():
     assert not verify_certificate(p0, Certificate("vertex_set", ()))
 
 
+def test_feedback_sets_and_self_loops():
+    # a self-loop is a cycle that only its own vertex or arc breaks
+    g = DiGraph(3, ((1, 2), (2, 2), (2, 3)))
+    fns = Problem("feedback_node_set", g, param=1)
+    assert verify_certificate(fns, Certificate("vertex_set", (2,)))
+    assert not verify_certificate(fns, Certificate("vertex_set", (3,)))
+    fas = Problem("feedback_arc_set", g, param=1)
+    assert verify_certificate(fas, Certificate("arc_set", ((2, 2),)))
+    assert not verify_certificate(fas, Certificate("arc_set", ((2, 3),)))
+
+
 def test_steiner_root_only_tree():
     g = UGraph(2, ((1, 2),), (5,))
     p = Problem("steiner_tree", SteinerInstance(g, (1,), 0))
