@@ -1,10 +1,28 @@
+import hashlib
 import json
 
 import pytest
 
-from karpkit.genlab import GeneratorSpec, generate
-from karpkit.instances import KINDS, Certificate, Problem
+from karpkit.binprog import BinaryProgram, ConstraintRow, ContractError, VariableTag
+from karpkit.genlab import GeneratorSpec, generate, scaled_spec
+from karpkit.instances import (
+    KINDS,
+    Certificate,
+    CnfFormula,
+    DiGraph,
+    IntegerList,
+    InvalidInstanceError,
+    Problem,
+    SetFamily,
+    SteinerInstance,
+    TripleFamily,
+    UGraph,
+    UnsupportedKindError,
+    measure_input_size,
+    validate,
+)
 from karpkit.oracles import solve
+from karpkit.reductions import apply_chain, route_to_kernel
 from karpkit.serialize import (
     dumps_certificate,
     dumps_problem,
@@ -90,3 +108,206 @@ def test_parse_edge_list_weighted_and_directed():
 def test_parse_edge_list_requires_weights_for_max_cut():
     with pytest.raises(ValueError):
         parse_edge_list("1 2\n", "max_cut", param=0)
+
+
+# ---------------------------------------------------------------------------
+# golden surface: serialized bytes, sizes, round trips and routed stages
+# ---------------------------------------------------------------------------
+
+
+def _instances(kind, seed):
+    """The instances of a seed from the default family and the scale-6
+    family; ip01 has no scale knob and takes six rows instead, and
+    job_sequencing is the bare tag."""
+    if kind == "job_sequencing":
+        return [Problem(kind, None)] * 2
+    spec = GeneratorSpec(kind, seed)
+    scaled = spec.with_params(rows=6) if kind == "ip01" else scaled_spec(spec, 6)
+    return [generate(spec), generate(scaled)]
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the error a kind gives is part of its surface
+        return repr((type(exc).__name__, str(exc)))
+
+
+def _surface(problem):
+    """One record: the dumps_problem bytes, (element, bits) sizes, the
+    loads_problem round trip, and the bytes of every routed stage."""
+    text = dumps_problem(problem)
+    sizes = (_outcome(measure_input_size, problem, "element"),
+             _outcome(measure_input_size, problem, "bits"))
+    stages = apply_chain(route_to_kernel(problem.kind), problem)
+    return repr((text, sizes, loads_problem(text) == problem,
+                 [dumps_problem(stage) for stage in stages])).encode() + b"\n"
+
+
+def _surface_digest(kind):
+    h = hashlib.sha256()
+    for s in range(50):
+        for problem in _instances(kind, s):
+            h.update(_surface(problem))
+    return h.hexdigest()
+
+
+# sha256 over _surface of generate(...) for seeds 0..49, default and scale 6
+SURFACE_GOLDEN = {
+    "sat":
+        "9be0e08973c3b541fe91138dbc40ae8706ebc4e8d4412364247708490109d7c4",
+    "ip01":
+        "22e84fc1e92776eae7e2d8a939fa502784969ac87b699f4adf016e49149a6c27",
+    "clique":
+        "317a04c154103f6e794c2582fb8688a295f744224a57ef45a5030df7458320b5",
+    "set_packing":
+        "c62ea837830266ca29f3085ee5236df30d9c48cbdf27827aa8ca704e9080ce38",
+    "node_cover":
+        "532327e3c9ee18bd607edad9a42bab544b01add4df691cb04034e55495c82173",
+    "set_covering":
+        "e83556c5a74c86046532c487bb412575190962593b7f2464183f6b02911c64c6",
+    "feedback_node_set":
+        "bc11411cb15c2b950f6c3b7870ab8c04232140ce971c613ec94ccba387d45118",
+    "feedback_arc_set":
+        "ae6797e7024389ab1da32af574274cf7f811856331199f786b1ec2243d2fc092",
+    "dhcp":
+        "9e67e969e8e13212d02296b812347f02eae8fe273ec75613781602af449f9c13",
+    "hcp":
+        "9c9efc9629c2ff75449538dbd8e26f1dce78f96e2c94983832d882e19b9956ae",
+    "threesat":
+        "b981bf059fff211d14e4ef9ed4954d6fd0345583b0843c65da4c04aa15d0a692",
+    "chromatic_number":
+        "74b469fe1b2c5d260aa7fda953c7c30b50e8735531ce9774b1e61f4e148a46eb",
+    "clique_cover":
+        "169ade7be3c44fcae466c2d58b8604de34e1ea61ee53b20b2c6e6dd20f1e40e8",
+    "exact_cover":
+        "3c3334cd95849f487a7dda15f5ff00aceaa30dac17ad6a446395beb213c14613",
+    "hitting_set":
+        "b5d35fc26e63caa3d8e3aa07b644688b3bc8cde5e71d490a82f0529a1946bf90",
+    "steiner_tree":
+        "dc6011b61366d6e6e764ea6ec469ddfc3407003a9e7a971d4612c1c8fec7f72e",
+    "three_dim_matching":
+        "bce93fb1f6ab50a760955fe1bb96fbfd0540b9c033ab825529872516f837df39",
+    "knapsack":
+        "7ec5803c297e245dd9f8da171668efa662464cc312794fbad799265c730e08b8",
+    "job_sequencing":
+        "c89f02cc2a711deab8ebbc31b90c5fa007204688bd123c0995a4cb9975ffbe3b",
+    "partition":
+        "04c219248253349a3cff3cb9f4225b51787a59c3a45167fc8fafd7f1f7cfa6e1",
+    "max_cut":
+        "98ed5555b5367b78104d86eb84b2fdb5b742cd799c34d7dc48f0e0379404e880",
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_golden_surface(kind):
+    assert _surface_digest(kind) == SURFACE_GOLDEN[kind]
+
+
+_IP_STR_RHS = BinaryProgram(
+    (VariableTag(("x", 1)),), (ConstraintRow(((0, 1),), "=", "1"),))
+_WEIGHTED = UGraph(2, ((1, 2),), (1,))
+_UNWEIGHTED = UGraph(2, ((1, 2),))
+
+# (problem, error, message): at least one malformed instance per kind, and
+# an unknown kind
+MALFORMED_INSTANCES = [
+    (Problem("sat", CnfFormula(-1, ())), InvalidInstanceError, "negative literal count"),
+    (Problem("sat", CnfFormula(2, ((),))), InvalidInstanceError, "empty clause"),
+    (Problem("sat", CnfFormula(2, ((3,),))), InvalidInstanceError, "literal out of range"),
+    (Problem("ip01", _IP_STR_RHS), ContractError, "rhs must be an integer, got '1'"),
+    (Problem("clique", _UNWEIGHTED), InvalidInstanceError,
+     "clique requires a scalar parameter"),
+    (Problem("clique", _UNWEIGHTED, -1), InvalidInstanceError, "negative parameter"),
+    (Problem("clique", _UNWEIGHTED, 3), InvalidInstanceError,
+     "parameter exceeds vertex count"),
+    (Problem("clique", _WEIGHTED, 1), InvalidInstanceError,
+     "weights not allowed for this kind"),
+    (Problem("clique", UGraph(2, ((1, 2),), complement=True), 1), InvalidInstanceError,
+     "complement flag reserved for clique_cover"),
+    (Problem("set_packing", SetFamily(2, ((1, 3),)), 1), InvalidInstanceError,
+     "element out of range"),
+    (Problem("set_packing", SetFamily(2, ((1, 1),)), 1), InvalidInstanceError,
+     "duplicate element within one set"),
+    (Problem("node_cover", UGraph(2, ((2, 2),)), 1), InvalidInstanceError,
+     "self-loop (2,2)"),
+    (Problem("node_cover", UGraph(-1, ()), 0), InvalidInstanceError,
+     "negative vertex count"),
+    (Problem("set_covering", SetFamily(2, ((1, 2),)), 2), InvalidInstanceError,
+     "k exceeds number of sets"),
+    (Problem("feedback_node_set", DiGraph(2, ((1, 3),)), 1), InvalidInstanceError,
+     "vertex out of range"),
+    (Problem("feedback_arc_set", DiGraph(2, ((1, 2), (1, 2))), 1), InvalidInstanceError,
+     "duplicate arc (1,2)"),
+    (Problem("dhcp", DiGraph(2, ((0, 1),))), InvalidInstanceError, "vertex out of range"),
+    (Problem("hcp", UGraph(3, ((1, 2), (1, 2)))), InvalidInstanceError,
+     "duplicate edge (1,2)"),
+    (Problem("hcp", UGraph(2, ((1, 3),))), InvalidInstanceError, "vertex out of range"),
+    (Problem("hcp", UGraph(2, ((1, 2),), complement=True)), InvalidInstanceError,
+     "complement flag reserved for clique_cover"),
+    (Problem("threesat", CnfFormula(4, ((1, 2, 3, 4),))), InvalidInstanceError,
+     "clause larger than 3"),
+    (Problem("chromatic_number", _UNWEIGHTED, 3), InvalidInstanceError,
+     "parameter exceeds vertex count"),
+    (Problem("clique_cover", _UNWEIGHTED, 3), InvalidInstanceError,
+     "parameter exceeds vertex count"),
+    (Problem("clique_cover", _WEIGHTED, 1), InvalidInstanceError,
+     "weights not allowed for this kind"),
+    (Problem("exact_cover", SetFamily(1, ((2,),))), InvalidInstanceError,
+     "element out of range"),
+    (Problem("hitting_set", SetFamily(2, ((2, 2),))), InvalidInstanceError,
+     "duplicate element within one set"),
+    (Problem("steiner_tree", SteinerInstance(_UNWEIGHTED, (1,), 1)), InvalidInstanceError,
+     "weights required"),
+    (Problem("steiner_tree", SteinerInstance(UGraph(2, ((1, 2),), (-1,)), (1,), 1)),
+     InvalidInstanceError, "negative edge weight"),
+    (Problem("steiner_tree", SteinerInstance(_WEIGHTED, (), 1)), InvalidInstanceError,
+     "terminal set empty"),
+    (Problem("steiner_tree", SteinerInstance(_WEIGHTED, (3,), 1)), InvalidInstanceError,
+     "terminal out of range"),
+    (Problem("steiner_tree", SteinerInstance(_WEIGHTED, (1,), -1)), InvalidInstanceError,
+     "negative weight budget"),
+    (Problem("three_dim_matching", TripleFamily(2, ((1, 2),))), InvalidInstanceError,
+     "triple must have three coordinates"),
+    (Problem("three_dim_matching", TripleFamily(2, ((1, 2, 3),))), InvalidInstanceError,
+     "coordinate out of range"),
+    (Problem("three_dim_matching", TripleFamily(2, ((1, 2, 1), (1, 2, 1)))),
+     InvalidInstanceError, "duplicate triple"),
+    (Problem("knapsack", IntegerList((1, 2))), InvalidInstanceError,
+     "knapsack requires a target"),
+    (Problem("knapsack", IntegerList((1, 2), -1)), InvalidInstanceError,
+     "knapsack requires a target"),
+    (Problem("knapsack", IntegerList((0, 2), 1)), InvalidInstanceError,
+     "integers must be >= 1"),
+    (Problem("job_sequencing", IntegerList((1,))), InvalidInstanceError,
+     "job_sequencing carries no payload"),
+    (Problem("partition", IntegerList((1, 1), 1)), InvalidInstanceError,
+     "partition carries no target"),
+    (Problem("max_cut", _UNWEIGHTED, 1), InvalidInstanceError, "weights required"),
+    (Problem("max_cut", UGraph(2, ((1, 2),), (1, 1)), 1), InvalidInstanceError,
+     "one weight per edge required"),
+    (Problem("max_cut", UGraph(2, ((1, 2),), (-1,)), 1), InvalidInstanceError,
+     "negative edge weight"),
+    (Problem("frobnicate", None), UnsupportedKindError, "unknown kind 'frobnicate'"),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, error, message", MALFORMED_INSTANCES,
+    ids=["%s-%d" % (case[0].kind, i) for i, case in enumerate(MALFORMED_INSTANCES)],
+)
+def test_malformed_instance_messages(problem, error, message):
+    with pytest.raises(error) as exc:
+        validate(problem)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_malformed_instances_cover_every_kind():
+    assert {case[0].kind for case in MALFORMED_INSTANCES} >= set(KINDS)
+
+
+@pytest.mark.parametrize("kind", ["job_sequencing", "frobnicate"])
+def test_unmeasured_kinds(kind):
+    with pytest.raises(UnsupportedKindError) as exc:
+        measure_input_size(Problem(kind, None))
+    assert str(exc.value) == "no input-size measure for kind %r" % kind
