@@ -116,6 +116,33 @@ class BinaryProgram:
             nbits(r.rhs) for r in self.rows
         )
 
+    def to_json(self):
+        rows = []
+        for r in self.rows:
+            row = {
+                "terms": [[i, c] for i, c in r.terms],
+                "relation": r.relation,
+                "rhs": r.rhs,
+            }
+            if r.slack_bound is not None:
+                row["slack_bound"] = r.slack_bound
+            rows.append(row)
+        return {"variables": [list(t.origin) for t in self.variables], "rows": rows}
+
+    @staticmethod
+    def from_json(d):
+        variables = tuple(VariableTag(tuple(o)) for o in d["variables"])
+        rows = tuple(
+            ConstraintRow(
+                tuple((i, c) for i, c in r["terms"]),
+                r["relation"],
+                r["rhs"],
+                r.get("slack_bound"),
+            )
+            for r in d["rows"]
+        )
+        return BinaryProgram(variables, rows)
+
     def dump(self):
         """One row per line: "coef*var ... REL rhs"."""
         lines = []

@@ -1,9 +1,20 @@
 """Canonical in-memory representations of Karp's 21 decision problems.
 
-Each problem instance is a `Problem` carrying a kind tag and a payload
-(graph, set family, CNF formula, ...).  This module owns validity checks,
-certificate verification, and the per-kind input-size measures used by the
-growth auditor.
+Each problem instance is a `Problem` carrying a kind tag, a payload carrier
+(graph, set family, CNF formula, ...) and, for some kinds, a scalar
+parameter.  A kind is defined in one place: its entry in `KINDS`, at the
+end of this module.  The entry names the payload carrier, the JSON name of
+the parameter, the conditions the kind adds to its carrier's own, and its
+certificate (witness shape and YES test).  Each carrier validates itself,
+measures itself in both size modes and converts itself to and from JSON, so
+`validate`, `measure_input_size` and `serialize` read the table and never
+branch on a kind.
+
+Adding a kind: give it a `KINDS` entry, reusing a carrier or writing one
+with `validate`, `size`, `to_json` and `from_json`; then a generator branch
+and scale knob in `genlab`, an oracle (an `oracles.CANDIDATES` entry or a
+search of its own) and, unless it is a kernel kind, a route in
+`reductions._ROUTES`.
 """
 
 from __future__ import annotations
@@ -11,44 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Optional
 
-KINDS = (
-    "sat",
-    "ip01",
-    "clique",
-    "set_packing",
-    "node_cover",
-    "set_covering",
-    "feedback_node_set",
-    "feedback_arc_set",
-    "dhcp",
-    "hcp",
-    "threesat",
-    "chromatic_number",
-    "clique_cover",
-    "exact_cover",
-    "hitting_set",
-    "steiner_tree",
-    "three_dim_matching",
-    "knapsack",
-    "job_sequencing",
-    "partition",
-    "max_cut",
-)
-
-# Kinds whose payload carries an extra scalar parameter (k, l or W).
-PARAM_KINDS = {
-    "clique",
-    "set_packing",
-    "node_cover",
-    "set_covering",
-    "feedback_node_set",
-    "feedback_arc_set",
-    "chromatic_number",
-    "clique_cover",
-    "max_cut",
-}
+from .binprog import BinaryProgram
 
 
 class UnsupportedKindError(ValueError):
@@ -63,8 +39,20 @@ class InvalidCertificateError(ValueError):
     """Raised when a certificate is malformed for the instance it claims to witness."""
 
 
+def _check(cond, msg):
+    if not cond:
+        raise InvalidInstanceError(msg)
+
+
+def nbits(v):
+    """Binary encoding length of an integer: ceil(log2(|v|+1)) + 1."""
+    return abs(v).bit_length() + 1
+
+
 # ---------------------------------------------------------------------------
-# payload carriers
+# payload carriers: each one validates itself, measures itself (element mode
+# counts data items, bits mode weighs every number by its encoding length)
+# and converts itself to and from its JSON object
 # ---------------------------------------------------------------------------
 
 
@@ -75,14 +63,31 @@ class CnfFormula:
     num_literals: int
     clauses: tuple
 
+    def validate(self):
+        n = self.num_literals
+        _check(n >= 0, "negative literal count")
+        for c in self.clauses:
+            _check(len(c) >= 1, "empty clause")
+            for lit in c:
+                _check(lit != 0 and 1 <= abs(lit) <= n, "literal out of range")
+
+    def size(self, mode):
+        if mode == "element":
+            return sum(len(c) for c in self.clauses)
+        return sum(nbits(lit) for c in self.clauses for lit in c)
+
+    def to_json(self):
+        return {"num_literals": self.num_literals, "clauses": [list(c) for c in self.clauses]}
+
     @staticmethod
-    def make(num_literals, clauses):
-        return CnfFormula(num_literals, tuple(tuple(c) for c in clauses))
+    def from_json(d):
+        return CnfFormula(d["num_literals"], tuple(tuple(c) for c in d["clauses"]))
 
 
 @dataclass(frozen=True)
 class UGraph:
-    """Undirected graph on vertices 1..num_vertices.
+    """Undirected graph on vertices 1..num_vertices, each edge stored as
+    (i, j) with i < j.
 
     If `complement` is True the stored edge list describes the complement of
     the actual graph (compressed clique-cover representation); use
@@ -118,6 +123,60 @@ class UGraph:
     def weight_of(self):
         return dict(zip(self.edges, self.weights))
 
+    def validate(self):
+        n = self.num_vertices
+        _check(n >= 0, "negative vertex count")
+        seen = set()
+        # messages are formatted only on failure: validation runs on every edge
+        for i, j in self.edges:
+            if not 1 <= i < j <= n:
+                if i == j:
+                    raise InvalidInstanceError("self-loop (%d,%d)" % (i, j))
+                _check(1 <= i <= n and 1 <= j <= n, "vertex out of range")
+                raise InvalidInstanceError("edge (%d,%d) not stored as (i,j) with i < j" % (i, j))
+            if (i, j) in seen:
+                raise InvalidInstanceError("duplicate edge (%d,%d)" % (i, j))
+            seen.add((i, j))
+        if self.weights is not None:
+            _check(len(self.weights) == len(self.edges), "one weight per edge required")
+            _check(all(w >= 0 for w in self.weights), "negative edge weight")
+
+    def size(self, mode):
+        """An edge counts once, or twice with its weight."""
+        if mode == "element":
+            return len(self.edges) * (1 if self.weights is None else 2)
+        bits = sum(nbits(i) + nbits(j) for i, j in self.edges)
+        return bits if self.weights is None else bits + sum(map(nbits, self.weights))
+
+    def to_json(self):
+        if self.weights is not None:
+            edges = [[i, j, w] for (i, j), w in zip(self.edges, self.weights)]
+        else:
+            edges = [[i, j] for i, j in self.edges]
+        out = {"num_vertices": self.num_vertices, "edges": edges}
+        if self.complement:
+            out["complement"] = True
+        return {"graph": out}
+
+    @staticmethod
+    def from_json(d, weighted=False):
+        """An unweighted graph ignores a third column; a weighted one needs it
+        on every edge (and keeps weights (), not None, when it has none)."""
+        d = d["graph"]
+        edges, weights = [], []
+        for row in d["edges"]:
+            edges.append((row[0], row[1]))
+            if len(row) > 2:
+                weights.append(row[2])
+        if weighted and len(weights) != len(edges):
+            raise ValueError("weighted graph requires a weight column on every edge")
+        return UGraph.make(
+            d["num_vertices"],
+            edges,
+            weights if weighted else None,
+            bool(d.get("complement", False)),
+        )
+
 
 @dataclass(frozen=True)
 class DiGraph:
@@ -126,9 +185,28 @@ class DiGraph:
     num_vertices: int
     arcs: tuple
 
+    def validate(self):
+        n = self.num_vertices
+        seen = set()
+        for i, j in self.arcs:
+            _check(1 <= i <= n and 1 <= j <= n, "vertex out of range")
+            if (i, j) in seen:
+                raise InvalidInstanceError("duplicate arc (%d,%d)" % (i, j))
+            seen.add((i, j))
+
+    def size(self, mode):
+        if mode == "element":
+            return len(self.arcs)
+        return sum(nbits(i) + nbits(j) for i, j in self.arcs)
+
+    def to_json(self):
+        return {"graph": {"num_vertices": self.num_vertices,
+                          "arcs": [list(a) for a in self.arcs]}}
+
     @staticmethod
-    def make(num_vertices, arcs):
-        return DiGraph(num_vertices, tuple(tuple(a) for a in arcs))
+    def from_json(d):
+        d = d["graph"]
+        return DiGraph(d["num_vertices"], tuple(tuple(a) for a in d["arcs"]))
 
 
 @dataclass(frozen=True)
@@ -137,10 +215,6 @@ class SetFamily:
 
     universe_size: int
     sets: tuple
-
-    @staticmethod
-    def make(universe_size, sets):
-        return SetFamily(universe_size, tuple(tuple(s) for s in sets))
 
     @property
     def num_sets(self):
@@ -152,6 +226,26 @@ class SetFamily:
             out.update(s)
         return out
 
+    def validate(self):
+        for s in self.sets:
+            _check(len(set(s)) == len(s), "duplicate element within one set")
+            for x in s:
+                _check(1 <= x <= self.universe_size, "element out of range")
+
+    def size(self, mode):
+        if mode == "element":
+            return sum(len(s) for s in self.sets)
+        return sum(nbits(x) for s in self.sets for x in s)
+
+    def to_json(self):
+        return {"family": {"universe_size": self.universe_size,
+                           "sets": [list(s) for s in self.sets]}}
+
+    @staticmethod
+    def from_json(d):
+        d = d["family"]
+        return SetFamily(d["universe_size"], tuple(tuple(s) for s in d["sets"]))
+
 
 @dataclass(frozen=True)
 class TripleFamily:
@@ -160,9 +254,26 @@ class TripleFamily:
     t_size: int
     triples: tuple
 
+    def validate(self):
+        seen = set()
+        for t in self.triples:
+            _check(len(t) == 3, "triple must have three coordinates")
+            _check(all(1 <= x <= self.t_size for x in t), "coordinate out of range")
+            _check(t not in seen, "duplicate triple")
+            seen.add(t)
+
+    def size(self, mode):
+        """The triples and t_size."""
+        if mode == "element":
+            return 3 * len(self.triples) + 1
+        return sum(nbits(x) for t in self.triples for x in t) + nbits(self.t_size)
+
+    def to_json(self):
+        return {"t_size": self.t_size, "triples": [list(t) for t in self.triples]}
+
     @staticmethod
-    def make(t_size, triples):
-        return TripleFamily(t_size, tuple(tuple(t) for t in triples))
+    def from_json(d):
+        return TripleFamily(d["t_size"], tuple(tuple(t) for t in d["triples"]))
 
 
 @dataclass(frozen=True)
@@ -172,9 +283,25 @@ class IntegerList:
     values: tuple
     target: Optional[int] = None
 
+    def validate(self):
+        _check(all(v >= 1 for v in self.values), "integers must be >= 1")
+
+    def size(self, mode):
+        """The values and the target, if there is one."""
+        has_target = self.target is not None
+        if mode == "element":
+            return len(self.values) + has_target
+        bits = sum(nbits(v) for v in self.values)
+        return bits + nbits(self.target) if has_target else bits
+
+    def to_json(self):
+        if self.target is None:
+            return {"values": list(self.values)}
+        return {"values": list(self.values), "target": self.target}
+
     @staticmethod
-    def make(values, target=None):
-        return IntegerList(tuple(values), target)
+    def from_json(d):
+        return IntegerList(tuple(d["values"]), d.get("target"))
 
 
 @dataclass(frozen=True)
@@ -183,9 +310,36 @@ class SteinerInstance:
     terminals: tuple
     budget: int
 
+    def validate(self):
+        g = self.graph
+        g.validate()
+        _check(g.weights is not None, "weights required")
+        _check(g.complement is False, "complement flag reserved for clique_cover")
+        _check(len(self.terminals) >= 1, "terminal set empty")
+        _check(
+            all(1 <= r <= g.num_vertices for r in self.terminals),
+            "terminal out of range",
+        )
+        _check(self.budget >= 0, "negative weight budget")
+
+    def size(self, mode):
+        """The weighted graph, the terminals and the budget."""
+        if mode == "element":
+            return self.graph.size(mode) + len(self.terminals) + 1
+        return (
+            self.graph.size(mode)
+            + sum(nbits(r) for r in self.terminals)
+            + nbits(self.budget)
+        )
+
+    def to_json(self):
+        return {**self.graph.to_json(), "terminals": list(self.terminals), "k": self.budget}
+
     @staticmethod
-    def make(graph, terminals, budget):
-        return SteinerInstance(graph, tuple(sorted(terminals)), budget)
+    def from_json(d):
+        return SteinerInstance(
+            UGraph.from_json(d, weighted=True), tuple(sorted(d["terminals"])), d["k"]
+        )
 
 
 @dataclass(frozen=True)
@@ -216,113 +370,63 @@ class SizeReport:
 # validity
 # ---------------------------------------------------------------------------
 
-
-def _check(cond, msg):
-    if not cond:
-        raise InvalidInstanceError(msg)
+# A kind's own conditions, beyond its carrier's: problem -> None, raising
+# InvalidInstanceError.
 
 
-def _validate_ugraph(g, weighted):
-    _check(g.num_vertices >= 0, "negative vertex count")
-    seen = set()
-    # messages are formatted only on failure: validation runs on every edge
-    for i, j in g.edges:
-        if i == j:
-            raise InvalidInstanceError("self-loop (%d,%d)" % (i, j))
-        _check(1 <= i <= g.num_vertices and 1 <= j <= g.num_vertices, "vertex out of range")
-        if (i, j) in seen:
-            raise InvalidInstanceError("duplicate edge (%d,%d)" % (i, j))
-        seen.add((i, j))
-    if weighted:
-        _check(g.weights is not None, "weights required")
-        _check(len(g.weights) == len(g.edges), "one weight per edge required")
-        _check(all(w >= 0 for w in g.weights), "negative edge weight")
-    else:
-        _check(g.weights is None, "weights not allowed for this kind")
+def _weighted(problem):
+    _check(problem.payload.weights is not None, "weights required")
 
 
-def _validate_digraph(g):
-    seen = set()
-    for i, j in g.arcs:
-        _check(1 <= i <= g.num_vertices and 1 <= j <= g.num_vertices, "vertex out of range")
-        if (i, j) in seen:
-            raise InvalidInstanceError("duplicate arc (%d,%d)" % (i, j))
-        seen.add((i, j))
+def _unweighted(problem):
+    _check(problem.payload.weights is None, "weights not allowed for this kind")
 
 
-def _validate_family(fam):
-    for s in fam.sets:
-        _check(len(set(s)) == len(s), "duplicate element within one set")
-        for x in s:
-            _check(1 <= x <= fam.universe_size, "element out of range")
+def _uncomplemented(problem):
+    _check(problem.payload.complement is False, "complement flag reserved for clique_cover")
 
 
-def _validate_cnf(f, max_clause=None):
-    _check(f.num_literals >= 0, "negative literal count")
-    for c in f.clauses:
-        _check(len(c) >= 1, "empty clause")
-        if max_clause is not None and len(c) > max_clause:
-            raise InvalidInstanceError("clause larger than %d" % max_clause)
-        for lit in c:
-            _check(lit != 0 and 1 <= abs(lit) <= f.num_literals, "literal out of range")
+def _param_within_vertices(problem):
+    _check(problem.param <= problem.payload.num_vertices, "parameter exceeds vertex count")
+
+
+def _param_within_sets(problem):
+    # choosing "exactly k" supersets requires at least k sets to choose from
+    _check(problem.param <= problem.payload.num_sets, "k exceeds number of sets")
+
+
+def _three_literals(problem):
+    _check(all(len(c) <= 3 for c in problem.payload.clauses), "clause larger than 3")
+
+
+def _target(problem):
+    target = problem.payload.target
+    _check(target is not None and target >= 0, "knapsack requires a target")
+
+
+def _no_target(problem):
+    _check(problem.payload.target is None, "partition carries no target")
 
 
 def validate(problem):
     """Raise InvalidInstanceError if the instance violates its invariants."""
     kind = problem.kind
     p = problem.payload
-    if kind not in KINDS:
+    spec = KINDS.get(kind)
+    if spec is None:
         raise UnsupportedKindError("unknown kind %r" % kind)
-    if kind == "job_sequencing":
-        _check(p is None, "job_sequencing carries no payload")
+    if spec.carrier is None:
+        _check(p is None, "%s carries no payload" % kind)
         return problem
-    if kind in PARAM_KINDS:
+    if not isinstance(p, spec.carrier):
+        raise InvalidInstanceError("%s requires a %s payload, got %s" % (
+            kind, spec.carrier.__name__, type(p).__name__))
+    if spec.param is not None:
         _check(problem.param is not None, "%s requires a scalar parameter" % kind)
         _check(problem.param >= 0, "negative parameter")
-    if kind in ("sat", "threesat"):
-        _validate_cnf(p, max_clause=3 if kind == "threesat" else None)
-    elif kind == "ip01":
-        p.validate()
-    elif kind in ("clique", "node_cover", "chromatic_number"):
-        _validate_ugraph(p, weighted=False)
-        _check(p.complement is False, "complement flag reserved for clique_cover")
-        _check(problem.param <= p.num_vertices, "parameter exceeds vertex count")
-    elif kind == "clique_cover":
-        _validate_ugraph(p, weighted=False)
-        _check(problem.param <= p.num_vertices, "parameter exceeds vertex count")
-    elif kind == "hcp":
-        _validate_ugraph(p, weighted=False)
-        _check(p.complement is False, "complement flag reserved for clique_cover")
-    elif kind == "max_cut":
-        _validate_ugraph(p, weighted=True)
-    elif kind in ("set_packing", "set_covering", "exact_cover", "hitting_set"):
-        _validate_family(p)
-        if kind == "set_covering":
-            # choosing "exactly k" supersets requires at least k sets to choose from
-            _check(problem.param <= p.num_sets, "k exceeds number of sets")
-    elif kind in ("feedback_node_set", "feedback_arc_set", "dhcp"):
-        _validate_digraph(p)
-    elif kind == "steiner_tree":
-        _validate_ugraph(p.graph, weighted=True)
-        _check(len(p.terminals) >= 1, "terminal set empty")
-        _check(
-            all(1 <= r <= p.graph.num_vertices for r in p.terminals),
-            "terminal out of range",
-        )
-        _check(p.budget >= 0, "negative weight budget")
-    elif kind == "three_dim_matching":
-        seen = set()
-        for t in p.triples:
-            _check(len(t) == 3, "triple must have three coordinates")
-            _check(all(1 <= x <= p.t_size for x in t), "coordinate out of range")
-            _check(t not in seen, "duplicate triple")
-            seen.add(t)
-    elif kind in ("knapsack", "partition"):
-        _check(all(v >= 1 for v in p.values), "integers must be >= 1")
-        if kind == "knapsack":
-            _check(p.target is not None and p.target >= 0, "knapsack requires a target")
-        else:
-            _check(p.target is None, "partition carries no target")
+    p.validate()
+    for check in spec.checks:
+        check(problem)
     return problem
 
 
@@ -331,101 +435,26 @@ def validate(problem):
 # ---------------------------------------------------------------------------
 
 
-def nbits(v):
-    """Binary encoding length of an integer: ceil(log2(|v|+1)) + 1."""
-    return abs(v).bit_length() + 1
-
-
-def _graph_bits(g, weighted=False):
-    total = 0
-    w = g.weights if weighted else None
-    for idx, (i, j) in enumerate(g.edges):
-        total += nbits(i) + nbits(j)
-        if w is not None:
-            total += nbits(w[idx])
-    return total
-
-
-def _digraph_bits(g):
-    return sum(nbits(i) + nbits(j) for i, j in g.arcs)
-
-
-def _family_bits(fam):
-    return sum(nbits(x) for s in fam.sets for x in s)
+def _three_per_clause(formula, mode):
+    return 3 * len(formula.clauses) if mode == "element" else formula.size(mode)
 
 
 def measure_input_size(problem, mode="element"):
-    """Input size of an instance under the per-kind counting convention.
+    """Input size of an instance: its carrier's size, plus the parameter (one
+    element, or its encoding length in bits) if the kind has one.
 
     Element mode counts data items (edges, set entries, literals, ...); bits
     mode weighs every number by its binary encoding length.
     """
     if mode not in ("element", "bits"):
         raise ValueError("mode must be 'element' or 'bits'")
-    kind = problem.kind
-    p = problem.payload
-    if kind == "job_sequencing" or kind not in KINDS:
-        raise UnsupportedKindError("no input-size measure for kind %r" % kind)
-
-    if kind == "sat":
-        if mode == "element":
-            return sum(len(c) for c in p.clauses)
-        return sum(nbits(lit) for c in p.clauses for lit in c)
-    if kind == "threesat":
-        if mode == "element":
-            return 3 * len(p.clauses)
-        return sum(nbits(lit) for c in p.clauses for lit in c)
-    if kind == "ip01":
-        return p.size(mode)
-    if kind in ("clique", "node_cover", "feedback_arc_set", "feedback_node_set",
-                "chromatic_number", "clique_cover"):
-        if kind in ("feedback_arc_set", "feedback_node_set"):
-            e = len(p.arcs)
-            b = _digraph_bits(p)
-        else:
-            e = len(p.edges)  # stored edges; clique_cover compressed counts its stored form
-            b = _graph_bits(p)
-        if mode == "element":
-            return e + 1
-        return b + nbits(problem.param)
-    if kind in ("set_packing", "set_covering"):
-        if mode == "element":
-            return 1 + sum(len(s) for s in p.sets)
-        return _family_bits(p) + nbits(problem.param)
-    if kind in ("dhcp",):
-        return len(p.arcs) if mode == "element" else _digraph_bits(p)
-    if kind == "hcp":
-        return len(p.edges) if mode == "element" else _graph_bits(p)
-    if kind in ("exact_cover", "hitting_set"):
-        if mode == "element":
-            return sum(len(s) for s in p.sets)
-        return _family_bits(p)
-    if kind == "steiner_tree":
-        g = p.graph
-        if mode == "element":
-            return 2 * len(g.edges) + len(p.terminals) + 1
-        return (
-            _graph_bits(g, weighted=True)
-            + sum(nbits(r) for r in p.terminals)
-            + nbits(p.budget)
-        )
-    if kind == "three_dim_matching":
-        if mode == "element":
-            return 3 * len(p.triples) + 1
-        return sum(nbits(x) for t in p.triples for x in t) + nbits(p.t_size)
-    if kind == "knapsack":
-        if mode == "element":
-            return len(p.values) + 1
-        return sum(nbits(v) for v in p.values) + nbits(p.target)
-    if kind == "partition":
-        if mode == "element":
-            return len(p.values)
-        return sum(nbits(v) for v in p.values)
-    if kind == "max_cut":
-        if mode == "element":
-            return 2 * len(p.edges) + 1
-        return _graph_bits(p, weighted=True) + nbits(problem.param)
-    raise UnsupportedKindError(kind)
+    spec = KINDS.get(problem.kind)
+    if spec is None or spec.carrier is None:
+        raise UnsupportedKindError("no input-size measure for kind %r" % problem.kind)
+    size = (spec.size or spec.carrier.size)(problem.payload, mode)
+    if spec.param is None:
+        return size
+    return size + (1 if mode == "element" else nbits(problem.param))
 
 
 def size_report(problem):
@@ -486,11 +515,13 @@ def _members(count, msg, duplicate_msg=None):
     """A set-like witness: members in 1..count(payload) and, if
     `duplicate_msg` is given, none repeated."""
     def shape(problem, v):
-        members = set(v)
+        # in sequence order, so that a mixed bad value raises the same error
+        # under every hash seed
+        members = tuple(v)
         n = count(problem.payload)
         _cc(all(1 <= x <= n for x in members), msg)
         if duplicate_msg is not None:
-            _cc(len(members) == len(tuple(v)), duplicate_msg)
+            _cc(len(set(members)) == len(members), duplicate_msg)
     return shape
 
 
@@ -733,30 +764,71 @@ _triples = _indices(
 _items = _indices(
     lambda p: len(p.values), "item index out of range", "duplicate item indices")
 
-# problem kind -> (certificate kind, shape check, YES test): the one place
-# that says what witnesses a kind and when a witness means YES
-CERTIFICATES = {
-    "sat": ("assignment", _assignment_shape, _sat_yes),
-    "threesat": ("assignment", _assignment_shape, _sat_yes),
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One kind: its payload carrier (None for a bare tag), the JSON name of
+    its scalar parameter (None if it has none), the conditions it adds to
+    its carrier's validation, and its certificate (certificate kind, shape
+    check, YES test builder).  `size` replaces the carrier's measure where
+    the kind counts otherwise."""
+
+    carrier: Optional[type]
+    param: Optional[str] = None
+    checks: tuple = ()
+    certificate: Optional[tuple] = None
+    size: Optional[Callable] = None
+
+    @property
+    def weighted(self):
+        """A graph kind whose edges carry weights."""
+        return _weighted in self.checks
+
+
+# a graph with neither edge weights nor the complement flag
+_PLAIN = (_unweighted, _uncomplemented)
+
+# the one table of the 21 kinds, in Karp's order; the certificate entry is
+# the one place that says what witnesses a kind and when a witness means YES
+KINDS = {
+    "sat": KindSpec(CnfFormula, None, (), ("assignment", _assignment_shape, _sat_yes)),
     # BinaryProgram.satisfied_by checks the assignment's shape itself
-    "ip01": ("binary", lambda problem, v: None, attrgetter("payload.satisfied_by")),
-    "clique": ("vertex_set", _clique, _clique_yes),
-    "node_cover": ("vertex_set", _vertices, _node_cover_yes),
-    "feedback_node_set": ("vertex_set", _vertices, _feedback_node_set_yes),
-    "max_cut": ("vertex_set", _vertices, _max_cut_yes),
-    "set_packing": ("set_indices", _set_indices, _set_packing_yes),
-    "set_covering": ("set_indices", _set_members, _set_covering_yes),
-    "exact_cover": ("set_indices", _set_indices, _exact_cover_yes),
-    "hitting_set": ("element_set", _elements, _hitting_set_yes),
-    "feedback_arc_set": ("arc_set", _arc_set_shape, _feedback_arc_set_yes),
-    "dhcp": ("cycle", _cycle(2), _tour(lambda g: set(g.arcs))),
-    "hcp": ("cycle", _cycle(3), _tour(_adjacent)),
-    "chromatic_number": ("coloring", _coloring_shape, _coloring_yes),
-    "clique_cover": ("clique_partition", _clique_partition_shape, _clique_partition_yes),
-    "steiner_tree": ("tree", _tree_shape, _tree_yes),
-    "three_dim_matching": ("triple_indices", _triples, _matching_yes),
-    "knapsack": ("item_indices", _items, _knapsack_yes),
-    "partition": ("item_indices", _items, _partition_yes),
+    "ip01": KindSpec(BinaryProgram, None, (), (
+        "binary", lambda problem, v: None, attrgetter("payload.satisfied_by"))),
+    "clique": KindSpec(UGraph, "k", _PLAIN + (_param_within_vertices,), (
+        "vertex_set", _clique, _clique_yes)),
+    "set_packing": KindSpec(SetFamily, "l", (), (
+        "set_indices", _set_indices, _set_packing_yes)),
+    "node_cover": KindSpec(UGraph, "l", _PLAIN + (_param_within_vertices,), (
+        "vertex_set", _vertices, _node_cover_yes)),
+    "set_covering": KindSpec(SetFamily, "k", (_param_within_sets,), (
+        "set_indices", _set_members, _set_covering_yes)),
+    "feedback_node_set": KindSpec(DiGraph, "k", (), (
+        "vertex_set", _vertices, _feedback_node_set_yes)),
+    "feedback_arc_set": KindSpec(DiGraph, "k", (), (
+        "arc_set", _arc_set_shape, _feedback_arc_set_yes)),
+    "dhcp": KindSpec(DiGraph, None, (), ("cycle", _cycle(2), _tour(lambda g: set(g.arcs)))),
+    "hcp": KindSpec(UGraph, None, _PLAIN, ("cycle", _cycle(3), _tour(_adjacent))),
+    "threesat": KindSpec(CnfFormula, None, (_three_literals,), (
+        "assignment", _assignment_shape, _sat_yes), _three_per_clause),
+    "chromatic_number": KindSpec(UGraph, "k", _PLAIN + (_param_within_vertices,), (
+        "coloring", _coloring_shape, _coloring_yes)),
+    # the one graph kind whose edges may be stored complemented
+    "clique_cover": KindSpec(UGraph, "l", (_unweighted, _param_within_vertices), (
+        "clique_partition", _clique_partition_shape, _clique_partition_yes)),
+    "exact_cover": KindSpec(SetFamily, None, (), (
+        "set_indices", _set_indices, _exact_cover_yes)),
+    "hitting_set": KindSpec(SetFamily, None, (), ("element_set", _elements, _hitting_set_yes)),
+    "steiner_tree": KindSpec(SteinerInstance, None, (), ("tree", _tree_shape, _tree_yes)),
+    "three_dim_matching": KindSpec(TripleFamily, None, (), (
+        "triple_indices", _triples, _matching_yes)),
+    "knapsack": KindSpec(IntegerList, None, (_target,), (
+        "item_indices", _items, _knapsack_yes)),
+    "job_sequencing": KindSpec(None),
+    "partition": KindSpec(IntegerList, None, (_no_target,), (
+        "item_indices", _items, _partition_yes)),
+    "max_cut": KindSpec(UGraph, "W", (_weighted, _uncomplemented), (
+        "vertex_set", _vertices, _max_cut_yes)),
 }
 
 
@@ -764,7 +836,7 @@ def yes_test(problem):
     """The instance's YES test: a predicate that is True iff a certificate
     value that passed the shape check witnesses YES.  Build it once per
     instance and apply it to many values."""
-    return CERTIFICATES[problem.kind][2](problem)
+    return KINDS[problem.kind].certificate[2](problem)
 
 
 def verify_certificate(problem, cert):
@@ -774,9 +846,10 @@ def verify_certificate(problem, cert):
     out-of-range indices or structurally malformed witnesses.
     """
     kind = problem.kind
-    if kind not in CERTIFICATES:
+    spec = KINDS.get(kind)
+    if spec is None or spec.certificate is None:
         raise UnsupportedKindError("no certificate shape for kind %r" % kind)
-    cert_kind, shape, yes = CERTIFICATES[kind]
+    cert_kind, shape, yes = spec.certificate
     if cert.kind != cert_kind:
         raise TypeError(
             "certificate kind %r does not match problem kind %r" % (cert.kind, kind)

@@ -22,7 +22,7 @@ from math import comb
 from typing import Optional
 
 from .instances import (
-    CERTIFICATES,
+    KINDS,
     Certificate,
     UnsupportedKindError,
     validate,
@@ -64,7 +64,7 @@ def _exceeded(kind, budget):
 
 
 def _yes(problem, value, explored):
-    cert = Certificate(CERTIFICATES[problem.kind][0], value)
+    cert = Certificate(KINDS[problem.kind].certificate[0], value)
     if not verify_certificate(problem, cert):
         raise OracleSelfCheckError(
             "%s oracle witness %r does not verify" % (problem.kind, value)

@@ -71,10 +71,6 @@ def _ip_problem(program):
     return Problem("ip01", program)
 
 
-def _var_index(program):
-    return {tag.origin: i for i, tag in enumerate(program.variables)}
-
-
 def _ip_nonzeros(program):
     return sum(len(r.terms) for r in program.rows)
 
@@ -786,9 +782,7 @@ def chain_from_names(names):
 
 def compose(chain, problem):
     """Apply a chain's transforms left to right."""
-    for step in chain.steps:
-        problem = step.apply(problem)
-    return problem
+    return apply_chain(chain, problem)[-1]
 
 
 def apply_chain(chain, problem):

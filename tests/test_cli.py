@@ -284,3 +284,16 @@ def test_lift_refuses_certificate_that_does_not_verify(tmp_path, capsys):
     code, out, err = run(capsys, "lift", "--chain", chain, "--cert", cert)
     assert code == 1 and out == ""
     assert "does not verify for the chain's final instance" in err
+
+
+@pytest.mark.parametrize(
+    "kind", ["sat", "ip01", "steiner_tree", "knapsack", "three_dim_matching", "set_packing"]
+)
+def test_edgelist_refuses_kinds_that_are_not_graphs(tmp_path, capsys, kind):
+    # a traceback here would exit 1, which reads as NO
+    path = _write(tmp_path, "e.txt", "3\n1 2\n2 3\n")
+    code, out, err = run(
+        capsys, "solve", path, "--format", "edgelist", "--kind", kind, "--param", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: edge lists hold graph kinds only, not %s\n" % kind

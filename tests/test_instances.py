@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
+
+import karpkit
 
 from karpkit.binprog import BinaryProgram, ConstraintRow, VariableTag
 from karpkit.instances import (
@@ -19,6 +25,7 @@ from karpkit.instances import (
     validate,
     verify_certificate,
 )
+from karpkit.oracles import solve
 
 
 def sat(num_literals, *clauses):
@@ -299,3 +306,58 @@ def test_malformed_cases_cover_every_certificate_kind():
 ])
 def test_yes_test_counts_distinct_members(problem, cert_kind, value, expected):
     assert verify_certificate(problem, Certificate(cert_kind, value)) is expected
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("sat", UGraph(2, ((1, 2),))),
+    ("ip01", UGraph(2, ((1, 2),))),
+    ("clique", DiGraph(2, ((1, 2),))),
+    ("steiner_tree", UGraph(2, ((1, 2),), (1,))),
+    ("partition", (1, 1)),
+])
+def test_validate_rejects_a_payload_of_another_carrier(kind, payload):
+    with pytest.raises(InvalidInstanceError, match="%s requires a" % kind):
+        validate(Problem(kind, payload, 1))
+
+
+def test_edges_stored_larger_endpoint_first_are_invalid():
+    # the oracles and the verifier read an edge as (i, j) with i < j: such a
+    # triangle read as clique k=3 NO, and hcp's witness failed its self-check
+    triangle = UGraph(3, ((2, 1), (3, 2), (3, 1)))
+    for problem in (Problem("clique", triangle, 3), Problem("hcp", triangle)):
+        with pytest.raises(InvalidInstanceError, match=r"edge \(2,1\) not stored"):
+            solve(problem)
+    assert solve(Problem("clique", UGraph.make(3, triangle.edges), 3))
+
+
+def test_complement_flag_is_reserved_for_clique_cover():
+    g = UGraph(2, ((1, 2),), (1,), complement=True)
+    for problem in (Problem("max_cut", g, 1),
+                    Problem("steiner_tree", SteinerInstance(g, (1,), 1))):
+        with pytest.raises(InvalidInstanceError, match="complement flag reserved"):
+            validate(problem)
+
+
+_MIXED_MEMBERS = """
+from karpkit.instances import Certificate, Problem, UGraph, verify_certificate
+problem = Problem("node_cover", UGraph(3, ((1, 2), (2, 3))), 1)
+try:
+    verify_certificate(problem, Certificate("vertex_set", (5, "x")))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_set_like_shape_check_does_not_depend_on_hash_seed():
+    # members are range-checked in sequence order: 5 is out of range before
+    # "x" fails to compare, whatever order a set would put them in
+    src = os.path.dirname(os.path.dirname(karpkit.__file__))
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _MIXED_MEMBERS],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert outputs == {"InvalidCertificateError vertex out of range\n"}

@@ -311,3 +311,12 @@ def test_unmeasured_kinds(kind):
     with pytest.raises(UnsupportedKindError) as exc:
         measure_input_size(Problem(kind, None))
     assert str(exc.value) == "no input-size measure for kind %r" % kind
+
+
+def test_json_target_is_read_for_knapsack_and_refused_for_partition():
+    knapsack = '{"kind": "knapsack", "payload": {"values": [1, 2]}}'
+    partition = '{"kind": "partition", "payload": {"values": [1, 1], "target": 1}}'
+    for text, message in ((knapsack, "knapsack requires a target"),
+                          (partition, "partition carries no target")):
+        with pytest.raises(InvalidInstanceError, match=message):
+            loads_problem(text)
