@@ -25,10 +25,6 @@ class VarCapExceededError(RuntimeError):
     """solve_ip refuses programs larger than its variable cap."""
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class VariableTag:
     """Semantic label recording which source object a variable encodes."""
@@ -68,20 +64,22 @@ class BinaryProgram:
         return len(self.variables)
 
     def validate(self):
+        from .instances import is_int
+
         origins = [t.origin for t in self.variables]
         if len(set(origins)) != len(origins):
             raise ContractError("variable origin tags must be unique")
         for row in self.rows:
             if row.relation not in (EQ, LE, GE):
                 raise ContractError("bad relation %r" % row.relation)
-            if not _is_int(row.rhs):
+            if not is_int(row.rhs):
                 raise ContractError("rhs must be an integer, got %r" % (row.rhs,))
-            if row.slack_bound is not None and not _is_int(row.slack_bound):
+            if row.slack_bound is not None and not is_int(row.slack_bound):
                 raise ContractError(
                     "slack_bound must be an integer, got %r" % (row.slack_bound,)
                 )
             for i, c in row.terms:
-                if not (_is_int(i) and _is_int(c)):
+                if not (is_int(i) and is_int(c)):
                     raise ContractError(
                         "term %r is not an integer (index, coefficient) pair" % ((i, c),)
                     )

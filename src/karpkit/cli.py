@@ -16,7 +16,6 @@ from . import serialize
 from .genlab import GeneratorSpec, generate
 from .growth import audit
 from .instances import (
-    InvalidCertificateError,
     InvalidInstanceError,
     UnsupportedKindError,
     measure_input_size,
@@ -121,11 +120,8 @@ def cmd_solve(args):
 def cmd_verify(args):
     problem = _load_problem(args)
     cert = serialize.loads_certificate(_read_text(args.cert))
-    try:
-        ok = verify_certificate(problem, cert)
-    except (InvalidCertificateError, TypeError) as exc:
-        print("invalid certificate: %s" % exc, file=sys.stderr)
-        return EXIT_NO
+    # a malformed or wrong-kind certificate raises: a usage error, not NO
+    ok = verify_certificate(problem, cert)
     print("YES" if ok else "NO")
     return EXIT_YES if ok else EXIT_NO
 

@@ -49,6 +49,11 @@ def nbits(v):
     return abs(v).bit_length() + 1
 
 
+def is_int(x):
+    """An integer, and not a bool (JSON true must not count as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # ---------------------------------------------------------------------------
 # payload carriers: each one validates itself, measures itself (element mode
 # counts data items, bits mode weighs every number by its encoding length)
@@ -139,6 +144,7 @@ class UGraph:
             seen.add((i, j))
         if self.weights is not None:
             _check(len(self.weights) == len(self.edges), "one weight per edge required")
+            _check(all(map(is_int, self.weights)), "edge weights must be integers")
             _check(all(w >= 0 for w in self.weights), "negative edge weight")
 
     def size(self, mode):
@@ -284,7 +290,9 @@ class IntegerList:
     target: Optional[int] = None
 
     def validate(self):
+        _check(all(map(is_int, self.values)), "values must be integers")
         _check(all(v >= 1 for v in self.values), "integers must be >= 1")
+        _check(self.target is None or is_int(self.target), "target must be an integer")
 
     def size(self, mode):
         """The values and the target, if there is one."""
@@ -320,6 +328,7 @@ class SteinerInstance:
             all(1 <= r <= g.num_vertices for r in self.terminals),
             "terminal out of range",
         )
+        _check(is_int(self.budget), "weight budget must be an integer")
         _check(self.budget >= 0, "negative weight budget")
 
     def size(self, mode):
@@ -423,6 +432,7 @@ def validate(problem):
             kind, spec.carrier.__name__, type(p).__name__))
     if spec.param is not None:
         _check(problem.param is not None, "%s requires a scalar parameter" % kind)
+        _check(is_int(problem.param), "%s parameter must be an integer" % kind)
         _check(problem.param >= 0, "negative parameter")
     p.validate()
     for check in spec.checks:

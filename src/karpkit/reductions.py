@@ -6,6 +6,14 @@ maps any accepted target certificate back to a source certificate.  Every
 reduction declares an affine growth claim on element-mode input sizes and,
 where known, exact nonzero/RHS count formulas for its output.
 
+A lift is called as `lift(source, target, cert)`, where `target` is the
+instance the transform made from `source` (`lift_chain` hands each step the
+pair from its one `apply_chain` call), so a lift reads the target and never
+runs the transform again.  It builds its certificate with `_certificate`,
+which takes the certificate kind from `instances.KINDS[source.kind]`.  A
+reduction onto ip01 tags its variables `(tag, index, ...)`, and a lift that
+only picks variables is `_tagged(tag)`.
+
 Reductions onto 0-1 integer programming emit inequality rows with their
 analytically-derived slack bounds so that `to_equality_form` can finish
 the job in O(1) extra size per constant-bounded row.
@@ -14,19 +22,22 @@ the job in O(1) extra size per constant-bounded row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Callable, Optional
 
 from .instances import (
+    KINDS,
     Certificate,
     CnfFormula,
     DiGraph,
     IntegerList,
+    InvalidCertificateError,
     Problem,
     SetFamily,
     SteinerInstance,
     UGraph,
-    measure_input_size,
+    UnsupportedKindError,
 )
 from .binprog import EQ, GE, LE, BinaryProgram, ConstraintRow, VariableTag
 
@@ -42,7 +53,7 @@ class ReductionSpec:
     source_kind: str
     target_kind: str
     transform: Callable
-    lift: Callable
+    lift: Callable  # (source, target, cert) -> source certificate
     growth_claim: tuple  # (alpha, beta) on element-mode sizes
     count_checks: Optional[Callable] = None  # (source, target) -> [(label, want, got)]
 
@@ -54,21 +65,34 @@ class ReductionSpec:
         return self.transform(problem)
 
 
-def _require_kind(problem, kind, who):
-    if problem.kind != kind:
-        raise TypeError("%s expects kind %r, got %r" % (who, kind, problem.kind))
+def _certificate(source, value):
+    """A certificate for `source`, of the kind its `KINDS` entry declares."""
+    return Certificate(KINDS[source.kind].certificate[0], value)
+
+
+def _tagged(tag, picked=1):
+    """Lift from ip01: the index in each origin whose variable has tag `tag`
+    and is set to `picked`, in variable order."""
+    def lift(source, target, cert):
+        return _certificate(source, tuple(
+            var.origin[1]
+            for var, x in zip(target.payload.variables, cert.value)
+            if var.origin[0] == tag and x == picked
+        ))
+    return lift
+
+
+def lift_same(source, target, cert):
+    """The target witness is the source witness under the source's certificate kind."""
+    return _certificate(source, tuple(cert.value))
 
 
 def _row(terms, relation, rhs, slack_bound=None):
     return ConstraintRow(tuple(terms), relation, rhs, slack_bound)
 
 
-def _program(variables, rows):
-    return BinaryProgram(tuple(variables), tuple(rows)).validate()
-
-
-def _ip_problem(program):
-    return Problem("ip01", program)
+def _ip_problem(variables, rows):
+    return Problem("ip01", BinaryProgram(tuple(variables), tuple(rows)).validate())
 
 
 def _ip_nonzeros(program):
@@ -83,7 +107,6 @@ def _ip_nonzeros(program):
 def reduce_sat_to_3sat(problem):
     """Split every clause of size k > 3 into a chain of k-2 clauses linked
     by k-3 fresh variables; shorter clauses are copied verbatim."""
-    _require_kind(problem, "sat", "sat_to_3sat")
     f = problem.payload
     next_var = f.num_literals
     clauses = []
@@ -101,9 +124,9 @@ def reduce_sat_to_3sat(problem):
     return Problem("threesat", CnfFormula(next_var, tuple(clauses)))
 
 
-def lift_sat_to_3sat(source, cert):
+def lift_sat_to_3sat(source, target, cert):
     m = source.payload.num_literals
-    return Certificate("assignment", tuple(cert.value[:m]))
+    return _certificate(source, tuple(cert.value[:m]))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +137,6 @@ def lift_sat_to_3sat(source, cert):
 def reduce_clique_to_ip(problem):
     """Edge variables x_ij, vertex variables v_i; per-edge linking rows plus
     exactly-k vertices and exactly C(k,2) chosen edges."""
-    _require_kind(problem, "clique", "clique_to_ip")
     g, k = problem.payload, problem.param
     variables = [VariableTag(("edge", i, j)) for i, j in g.edges]
     variables += [VariableTag(("vertex", i)) for i in range(1, g.num_vertices + 1)]
@@ -127,17 +149,7 @@ def reduce_clique_to_ip(problem):
         rows.append(_row([(x[(i, j)], 1), (v[j], -1)], LE, 0, 1))
     rows.append(_row([(v[i], 1) for i in range(1, g.num_vertices + 1)], EQ, k))
     rows.append(_row([(x[e], 1) for e in g.edges], EQ, comb(k, 2)))
-    return _ip_problem(_program(variables, rows))
-
-
-def lift_clique_to_ip(source, cert):
-    target = reduce_clique_to_ip(source).payload
-    chosen = [
-        tag.origin[1]
-        for tag, val in zip(target.variables, cert.value)
-        if val and tag.origin[0] == "vertex"
-    ]
-    return Certificate("vertex_set", tuple(chosen))
+    return _ip_problem(variables, rows)
 
 
 def counts_clique_to_ip(source, target):
@@ -156,7 +168,6 @@ def counts_clique_to_ip(source, target):
 
 
 def reduce_set_packing_to_ip(problem):
-    _require_kind(problem, "set_packing", "set_packing_to_ip")
     fam, l = problem.payload, problem.param
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = {j: [] for j in range(1, fam.universe_size + 1)}
@@ -168,15 +179,7 @@ def reduce_set_packing_to_ip(problem):
         for j in range(1, fam.universe_size + 1)
     ]
     rows.append(_row([(i, 1) for i in range(fam.num_sets)], EQ, l))
-    return _ip_problem(_program(variables, rows))
-
-
-def _lift_selected_sets(cert_kind):
-    def lift(source, cert):
-        chosen = [i + 1 for i, val in enumerate(cert.value) if val]
-        return Certificate(cert_kind, tuple(chosen))
-
-    return lift
+    return _ip_problem(variables, rows)
 
 
 def counts_family_to_ip(source, target):
@@ -195,7 +198,6 @@ def counts_family_to_ip(source, target):
 
 def reduce_node_cover_to_set_covering(problem):
     """Universe = edges; set j holds the edges incident with vertex j; k = l."""
-    _require_kind(problem, "node_cover", "node_cover_to_set_covering")
     g, l = problem.payload, problem.param
     edge_id = {e: idx + 1 for idx, e in enumerate(g.edges)}
     sets = []
@@ -203,10 +205,6 @@ def reduce_node_cover_to_set_covering(problem):
         sets.append(tuple(edge_id[e] for e in g.edges if j in e))
     fam = SetFamily(len(g.edges), tuple(sets))
     return Problem("set_covering", fam, param=l)
-
-
-def lift_node_cover_to_set_covering(source, cert):
-    return Certificate("vertex_set", tuple(cert.value))
 
 
 def counts_node_cover(source, target):
@@ -223,7 +221,6 @@ def counts_node_cover(source, target):
 def reduce_set_covering_to_ip(problem):
     """Coverage rows are indexed over the union of the family (an element no
     set contains imposes no requirement), plus an exactly-k row."""
-    _require_kind(problem, "set_covering", "set_covering_to_ip")
     fam, k = problem.payload, problem.param
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = {}
@@ -235,7 +232,7 @@ def reduce_set_covering_to_ip(problem):
         for j in sorted(member)
     ]
     rows.append(_row([(i, 1) for i in range(fam.num_sets)], EQ, k))
-    return _ip_problem(_program(variables, rows))
+    return _ip_problem(variables, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +274,6 @@ def _fas_expansion(g):
 def reduce_fas_to_fns(problem):
     """Sparsify via per-vertex path gadgets, then take the directed line
     graph; feedback node sets there play the role of feedback arc sets."""
-    _require_kind(problem, "feedback_arc_set", "fas_to_fns")
     g, k = problem.payload, problem.param
     _, _, arcs = _fas_expansion(g)
     heads = {}
@@ -290,7 +286,7 @@ def reduce_fas_to_fns(problem):
     return Problem("feedback_node_set", DiGraph(len(arcs), tuple(line_arcs)), param=k)
 
 
-def lift_fas_to_fns(source, cert):
+def lift_fas_to_fns(source, target, cert):
     """Map chosen line-graph nodes back to arcs of the source graph;
     gadget-internal arcs map to the first incident arc of their vertex."""
     g = source.payload
@@ -304,7 +300,7 @@ def lift_fas_to_fns(source, cert):
             _, vertex, _ = label
             incident = in_arcs[vertex] + out_arcs[vertex]
             chosen.add(g.arcs[incident[0]])
-    return Certificate("arc_set", tuple(sorted(chosen)))
+    return _certificate(source, tuple(sorted(chosen)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +311,6 @@ def lift_fas_to_fns(source, cert):
 def reduce_dhcp_to_hcp(problem):
     """Each vertex i becomes the 3-path 3i-2 -- 3i-1 -- 3i; arc (i,j)
     becomes the edge {3i, 3j-2}."""
-    _require_kind(problem, "dhcp", "dhcp_to_hcp")
     g = problem.payload
     edges = []
     for i in range(1, g.num_vertices + 1):
@@ -327,7 +322,7 @@ def reduce_dhcp_to_hcp(problem):
     return Problem("hcp", UGraph(3 * g.num_vertices, tuple(edges)))
 
 
-def lift_dhcp_to_hcp(source, cert):
+def lift_dhcp_to_hcp(source, target, cert):
     """Contract each 1-2-3 gadget traversal back to its source vertex."""
     order = list(cert.value)
     n = len(order)
@@ -345,9 +340,7 @@ def lift_dhcp_to_hcp(source, cert):
                     ok = False
                     break
             if ok:
-                return Certificate("cycle", tuple(seq))
-    from .instances import InvalidCertificateError
-
+                return _certificate(source, tuple(seq))
     raise InvalidCertificateError("cycle does not traverse gadgets in order")
 
 
@@ -371,7 +364,6 @@ def reduce_threesat_to_ip(problem):
     """One >= row per clause: signed literal coefficients against 1 minus the
     number of complemented literals.  Repeated occurrences of a variable in
     one clause sum their signs (cancellation drops the term)."""
-    _require_kind(problem, "threesat", "threesat_to_ip")
     f = problem.payload
     variables = [VariableTag(("literal", j)) for j in range(1, f.num_literals + 1)]
     rows = []
@@ -386,12 +378,12 @@ def reduce_threesat_to_ip(problem):
         rhs = 1 - d
         gap = sum(max(c, 0) for _, c in terms) - rhs
         rows.append(_row(terms, GE, rhs, gap))
-    return _ip_problem(_program(variables, rows))
+    return _ip_problem(variables, rows)
 
 
-def lift_threesat_to_ip(source, cert):
+def lift_threesat_to_ip(source, target, cert):
     m = source.payload.num_literals
-    return Certificate("assignment", tuple(bool(x) for x in cert.value[:m]))
+    return _certificate(source, tuple(bool(x) for x in cert.value[:m]))
 
 
 def counts_threesat_to_ip(source, target):
@@ -409,7 +401,6 @@ def counts_threesat_to_ip(source, target):
 
 
 def reduce_exact_cover_to_ip(problem):
-    _require_kind(problem, "exact_cover", "exact_cover_to_ip")
     fam = problem.payload
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = {}
@@ -417,7 +408,7 @@ def reduce_exact_cover_to_ip(problem):
         for j in s:
             member.setdefault(j, []).append(i)
     rows = [_row([(i, 1) for i in member[j]], EQ, 1) for j in sorted(member)]
-    return _ip_problem(_program(variables, rows))
+    return _ip_problem(variables, rows)
 
 
 def counts_exact_cover(source, target):
@@ -431,16 +422,10 @@ def counts_exact_cover(source, target):
 
 
 def reduce_hitting_set_to_ip(problem):
-    _require_kind(problem, "hitting_set", "hitting_set_to_ip")
     fam = problem.payload
     variables = [VariableTag(("element", j)) for j in range(1, fam.universe_size + 1)]
     rows = [_row([(j - 1, 1) for j in s], EQ, 1) for s in fam.sets]
-    return _ip_problem(_program(variables, rows))
-
-
-def lift_hitting_set_to_ip(source, cert):
-    chosen = [j + 1 for j, val in enumerate(cert.value) if val]
-    return Certificate("element_set", tuple(chosen))
+    return _ip_problem(variables, rows)
 
 
 def counts_hitting_set(source, target):
@@ -464,7 +449,6 @@ def reduce_steiner_tree_to_ip(problem):
     The weight-budget row is dropped when the budget covers the total edge
     weight (it is then satisfied automatically).
     """
-    _require_kind(problem, "steiner_tree", "steiner_tree_to_ip")
     st = problem.payload
     g = st.graph
     n = g.num_vertices
@@ -512,14 +496,13 @@ def reduce_steiner_tree_to_ip(problem):
                 terms.append((x[(i, j)], w))
                 terms.append((x[(j, i)], w))
         rows.append(_row(terms, LE, st.budget, min(st.budget, total_weight)))
-    return _ip_problem(_program(variables, rows))
+    return _ip_problem(variables, rows)
 
 
-def lift_steiner_tree_to_ip(source, cert):
-    target = reduce_steiner_tree_to_ip(source).payload
+def lift_steiner_tree_to_ip(source, target, cert):
     edges = set()
     root = None
-    for tag, val in zip(target.variables, cert.value):
+    for tag, val in zip(target.payload.variables, cert.value):
         if not val:
             continue
         if tag.origin[0] == "arc":
@@ -527,7 +510,7 @@ def lift_steiner_tree_to_ip(source, cert):
             edges.add((min(i, j), max(i, j)))
         elif tag.origin[0] == "root":
             root = tag.origin[1]
-    return Certificate("tree", {"edges": tuple(sorted(edges)), "root": root})
+    return _certificate(source, {"edges": tuple(sorted(edges)), "root": root})
 
 
 def counts_steiner_tree(source, target):
@@ -546,7 +529,6 @@ def counts_steiner_tree(source, target):
 
 def reduce_three_dim_matching_to_ip(problem):
     """One equality row per (ground element, coordinate) pair."""
-    _require_kind(problem, "three_dim_matching", "three_dim_matching_to_ip")
     tf = problem.payload
     variables = [VariableTag(("triple", i)) for i in range(1, len(tf.triples) + 1)]
     occur = {(j, k): [] for j in range(1, tf.t_size + 1) for k in (1, 2, 3)}
@@ -558,7 +540,7 @@ def reduce_three_dim_matching_to_ip(problem):
         for j in range(1, tf.t_size + 1)
         for k in (1, 2, 3)
     ]
-    return _ip_problem(_program(variables, rows))
+    return _ip_problem(variables, rows)
 
 
 def counts_three_dim_matching(source, target):
@@ -576,11 +558,10 @@ def counts_three_dim_matching(source, target):
 
 
 def reduce_knapsack_to_ip(problem):
-    _require_kind(problem, "knapsack", "knapsack_to_ip")
     ks = problem.payload
     variables = [VariableTag(("item", i)) for i in range(1, len(ks.values) + 1)]
     terms = [(i, a) for i, a in enumerate(ks.values)]
-    return _ip_problem(_program(variables, [_row(terms, EQ, ks.target)]))
+    return _ip_problem(variables, [_row(terms, EQ, ks.target)])
 
 
 def counts_knapsack(source, target):
@@ -594,15 +575,10 @@ def counts_knapsack(source, target):
 def reduce_partition_to_knapsack(problem):
     """Target b = half the total; an odd total gets the unreachable target
     total+1 so both sides stay NO."""
-    _require_kind(problem, "partition", "partition_to_knapsack")
     values = problem.payload.values
     total = sum(values)
     b = total // 2 if total % 2 == 0 else total + 1
     return Problem("knapsack", IntegerList(values, b))
-
-
-def lift_partition_to_knapsack(source, cert):
-    return Certificate("item_indices", tuple(cert.value))
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +589,6 @@ def lift_partition_to_knapsack(source, cert):
 def reduce_max_cut_to_ip(problem):
     """Inverted convention: x_i = 0 selects vertex i, y_ij = 0 counts the
     edge; the budget row bounds the weight of uncut edges by TW - W."""
-    _require_kind(problem, "max_cut", "max_cut_to_ip")
     g, w_target = problem.payload, problem.param
     variables = [VariableTag(("vertex", i)) for i in range(1, g.num_vertices + 1)]
     y = {}
@@ -632,17 +607,7 @@ def reduce_max_cut_to_ip(problem):
         (y[e], w) for e, w in zip(g.edges, g.weights) if w != 0
     ]
     rows.append(_row(terms, LE, tw - w_target, max(tw - w_target, 0)))
-    return _ip_problem(_program(variables, rows))
-
-
-def lift_max_cut_to_ip(source, cert):
-    target = reduce_max_cut_to_ip(source).payload
-    chosen = [
-        tag.origin[1]
-        for tag, val in zip(target.variables, cert.value)
-        if tag.origin[0] == "vertex" and not val
-    ]
-    return Certificate("vertex_set", tuple(chosen))
+    return _ip_problem(variables, rows)
 
 
 def counts_max_cut(source, target):
@@ -665,7 +630,6 @@ def reduce_chromatic_to_clique_cover(problem, mode="dense"):
     """Complement the graph; colour classes become cliques.  Dense mode
     materialises every complement edge, compressed mode stores the original
     graph with a complement flag."""
-    _require_kind(problem, "chromatic_number", "chromatic_to_clique_cover")
     g, k = problem.payload, problem.param
     if mode == "dense":
         stored = set(g.edges)
@@ -683,12 +647,12 @@ def reduce_chromatic_to_clique_cover(problem, mode="dense"):
     return Problem("clique_cover", target_graph, param=k)
 
 
-def lift_chromatic_to_clique_cover(source, cert):
+def lift_chromatic_to_clique_cover(source, target, cert):
     colors = [0] * source.payload.num_vertices
     for color, block in enumerate(cert.value, start=1):
         for vertex in block:
             colors[vertex - 1] = color
-    return Certificate("coloring", tuple(colors))
+    return _certificate(source, tuple(colors))
 
 
 # ---------------------------------------------------------------------------
@@ -696,52 +660,48 @@ def lift_chromatic_to_clique_cover(source, cert):
 # ---------------------------------------------------------------------------
 
 
-def _spec(name, src, dst, transform, lift, claim, counts=None):
-    return ReductionSpec(name, src, dst, transform, lift, claim, counts)
-
-
 REDUCTIONS = {
     spec.name: spec
     for spec in (
-        _spec("sat_to_3sat", "sat", "threesat", reduce_sat_to_3sat,
-              lift_sat_to_3sat, (3.0, 0.0)),
-        _spec("clique_to_ip", "clique", "ip01", reduce_clique_to_ip,
-              lift_clique_to_ip, (12.0, 3.0), counts_clique_to_ip),
-        _spec("set_packing_to_ip", "set_packing", "ip01", reduce_set_packing_to_ip,
-              _lift_selected_sets("set_indices"), (3.0, 1.0), counts_family_to_ip),
-        _spec("node_cover_to_set_covering", "node_cover", "set_covering",
-              reduce_node_cover_to_set_covering, lift_node_cover_to_set_covering,
-              (2.0, 1.0), counts_node_cover),
-        _spec("set_covering_to_ip", "set_covering", "ip01", reduce_set_covering_to_ip,
-              _lift_selected_sets("set_indices"), (3.0, 1.0), counts_family_to_ip),
-        _spec("fas_to_fns", "feedback_arc_set", "feedback_node_set",
-              reduce_fas_to_fns, lift_fas_to_fns, (12.0, 1.0)),
-        _spec("dhcp_to_hcp", "dhcp", "hcp", reduce_dhcp_to_hcp, lift_dhcp_to_hcp,
-              (3.0, 0.0), counts_dhcp_to_hcp),
-        _spec("threesat_to_ip", "threesat", "ip01", reduce_threesat_to_ip,
-              lift_threesat_to_ip, (4.0 / 3.0, 0.0), counts_threesat_to_ip),
-        _spec("exact_cover_to_ip", "exact_cover", "ip01", reduce_exact_cover_to_ip,
-              _lift_selected_sets("set_indices"), (2.0, 0.0), counts_exact_cover),
-        _spec("hitting_set_to_ip", "hitting_set", "ip01", reduce_hitting_set_to_ip,
-              lift_hitting_set_to_ip, (2.0, 0.0), counts_hitting_set),
-        _spec("steiner_tree_to_ip", "steiner_tree", "ip01", reduce_steiner_tree_to_ip,
-              lift_steiner_tree_to_ip, (9.0, 8.0), counts_steiner_tree),
-        _spec("three_dim_matching_to_ip", "three_dim_matching", "ip01",
-              reduce_three_dim_matching_to_ip, _lift_selected_sets("triple_indices"),
-              (2.0, 0.0), counts_three_dim_matching),
-        _spec("knapsack_to_ip", "knapsack", "ip01", reduce_knapsack_to_ip,
-              _lift_selected_sets("item_indices"), (1.0, 0.0), counts_knapsack),
-        _spec("partition_to_knapsack", "partition", "knapsack",
-              reduce_partition_to_knapsack, lift_partition_to_knapsack, (1.0, 1.0)),
-        _spec("max_cut_to_ip", "max_cut", "ip01", reduce_max_cut_to_ip,
-              lift_max_cut_to_ip, (9.0, 1.0), counts_max_cut),
-        _spec("chromatic_to_clique_cover", "chromatic_number", "clique_cover",
-              lambda p: reduce_chromatic_to_clique_cover(p, "dense"),
-              lift_chromatic_to_clique_cover, (1.0, 1.0)),
-        _spec("chromatic_to_clique_cover_compressed", "chromatic_number",
-              "clique_cover",
-              lambda p: reduce_chromatic_to_clique_cover(p, "compressed"),
-              lift_chromatic_to_clique_cover, (1.0, 1.0)),
+        ReductionSpec("sat_to_3sat", "sat", "threesat", reduce_sat_to_3sat,
+                      lift_sat_to_3sat, (3.0, 0.0)),
+        ReductionSpec("clique_to_ip", "clique", "ip01", reduce_clique_to_ip,
+                      _tagged("vertex"), (12.0, 3.0), counts_clique_to_ip),
+        ReductionSpec("set_packing_to_ip", "set_packing", "ip01", reduce_set_packing_to_ip,
+                      _tagged("set"), (3.0, 1.0), counts_family_to_ip),
+        ReductionSpec("node_cover_to_set_covering", "node_cover", "set_covering",
+                      reduce_node_cover_to_set_covering, lift_same, (2.0, 1.0),
+                      counts_node_cover),
+        ReductionSpec("set_covering_to_ip", "set_covering", "ip01", reduce_set_covering_to_ip,
+                      _tagged("set"), (3.0, 1.0), counts_family_to_ip),
+        ReductionSpec("fas_to_fns", "feedback_arc_set", "feedback_node_set",
+                      reduce_fas_to_fns, lift_fas_to_fns, (12.0, 1.0)),
+        ReductionSpec("dhcp_to_hcp", "dhcp", "hcp", reduce_dhcp_to_hcp, lift_dhcp_to_hcp,
+                      (3.0, 0.0), counts_dhcp_to_hcp),
+        ReductionSpec("threesat_to_ip", "threesat", "ip01", reduce_threesat_to_ip,
+                      lift_threesat_to_ip, (4.0 / 3.0, 0.0), counts_threesat_to_ip),
+        ReductionSpec("exact_cover_to_ip", "exact_cover", "ip01", reduce_exact_cover_to_ip,
+                      _tagged("set"), (2.0, 0.0), counts_exact_cover),
+        ReductionSpec("hitting_set_to_ip", "hitting_set", "ip01", reduce_hitting_set_to_ip,
+                      _tagged("element"), (2.0, 0.0), counts_hitting_set),
+        ReductionSpec("steiner_tree_to_ip", "steiner_tree", "ip01", reduce_steiner_tree_to_ip,
+                      lift_steiner_tree_to_ip, (9.0, 8.0), counts_steiner_tree),
+        ReductionSpec("three_dim_matching_to_ip", "three_dim_matching", "ip01",
+                      reduce_three_dim_matching_to_ip, _tagged("triple"), (2.0, 0.0),
+                      counts_three_dim_matching),
+        ReductionSpec("knapsack_to_ip", "knapsack", "ip01", reduce_knapsack_to_ip,
+                      _tagged("item"), (1.0, 0.0), counts_knapsack),
+        ReductionSpec("partition_to_knapsack", "partition", "knapsack",
+                      reduce_partition_to_knapsack, lift_same, (1.0, 1.0)),
+        ReductionSpec("max_cut_to_ip", "max_cut", "ip01", reduce_max_cut_to_ip,
+                      _tagged("vertex", picked=0), (9.0, 1.0), counts_max_cut),
+        ReductionSpec("chromatic_to_clique_cover", "chromatic_number", "clique_cover",
+                      partial(reduce_chromatic_to_clique_cover, mode="dense"),
+                      lift_chromatic_to_clique_cover, (1.0, 1.0)),
+        ReductionSpec("chromatic_to_clique_cover_compressed", "chromatic_number",
+                      "clique_cover",
+                      partial(reduce_chromatic_to_clique_cover, mode="compressed"),
+                      lift_chromatic_to_clique_cover, (1.0, 1.0)),
     )
 }
 
@@ -794,10 +754,11 @@ def apply_chain(chain, problem):
 
 
 def lift_chain(chain, problem, cert):
-    """Replay a chain's lifts right to left, back to a source certificate."""
+    """Replay a chain's lifts right to left, back to a source certificate;
+    step i lifts from stages[i + 1] to stages[i]."""
     stages = apply_chain(chain, problem)
-    for step, stage in zip(reversed(chain.steps), reversed(stages[:-1])):
-        cert = step.lift(stage, cert)
+    for i in reversed(range(len(chain.steps))):
+        cert = chain.steps[i].lift(stages[i], stages[i + 1], cert)
     return cert
 
 
@@ -822,8 +783,6 @@ _ROUTES = {
 
 def route_to_kernel(kind):
     """Chain taking any of the 21 problem kinds to a kernel kind."""
-    from .instances import KINDS, UnsupportedKindError
-
     if kind not in KINDS:
         raise UnsupportedKindError("unknown kind %r" % kind)
     if kind in KERNEL_KINDS:

@@ -81,7 +81,7 @@ def sweep():
                 continue
             if b.answer:
                 try:
-                    lifted = spec.lift(src, b.certificate)
+                    lifted = spec.lift(src, target, b.certificate)
                     if not verify_certificate(src, lifted):
                         bad_lifts += 1
                 except Exception:

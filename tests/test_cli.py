@@ -117,10 +117,10 @@ def test_unknown_reduction_exits_two(tmp_path, capsys):
     assert code == 2 and "nope" in err
 
 
-def test_verify_bad_certificate_exits_one(tmp_path, capsys):
+def test_verify_bad_certificate_exits_two(tmp_path, capsys):
     path = k4_file(tmp_path)
     cert = _write(tmp_path, "c.json", '{"kind": "cycle", "value": [1, 2, 3]}')
-    assert run(capsys, "verify", path, "--cert", cert)[0] == 1
+    assert run(capsys, "verify", path, "--cert", cert)[0] == 2
 
 
 def test_audit_table_and_json(tmp_path, capsys):
@@ -214,6 +214,38 @@ def test_non_integer_ip01_is_usage_error(capsys, monkeypatch, rhs, coef):
     code, out, err = run(capsys, "solve", "-")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+_PARTITION = '{"kind": "partition", "payload": {"values": [%s, %s]}}'
+_MAX_CUT = (
+    '{"kind": "max_cut", "payload": '
+    '{"graph": {"num_vertices": 2, "edges": [[1, 2, %s]]}, "W": %s}}'
+)
+_KNAPSACK = '{"kind": "knapsack", "payload": {"values": [1, 2], "target": %s}}'
+_STEINER = (
+    '{"kind": "steiner_tree", "payload": '
+    '{"graph": {"num_vertices": 2, "edges": [[1, 2, 1]]}, "terminals": [1, 2], "k": %s}}'
+)
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (_PARTITION % (1.5, 1.5), ("solve",), "values must be integers"),
+    (_PARTITION % (1.5, 1.5), ("measure", "--mode", "bits"), "values must be integers"),
+    (_PARTITION % ("true", "true"), ("solve",), "values must be integers"),
+    (_MAX_CUT % (1, 2.5), ("measure", "--mode", "bits"),
+     "max_cut parameter must be an integer"),
+    (_MAX_CUT % (1.5, 1), ("solve",), "edge weights must be integers"),
+    (_MAX_CUT % (1.5, 1), ("route", "--to-kernel"), "edge weights must be integers"),
+    (_KNAPSACK % 2.5, ("solve",), "target must be an integer"),
+    (_STEINER % 1.5, ("solve",), "weight budget must be an integer"),
+], ids=["partition-float", "partition-float-bits", "partition-bool", "max_cut-W-bits",
+        "max_cut-weight", "max_cut-weight-route", "knapsack-target", "steiner-budget"])
+def test_non_integer_numbers_are_usage_errors(capsys, monkeypatch, text, argv, message):
+    # otherwise 1.5 + 1.5 reads as NO and bits mode crashes with a traceback
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, *argv, "-")
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_outputs_re_readable(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import dataclasses
 from itertools import product
 
+import numpy as np
 import pytest
 
-from karpkit.binprog import GE
+import karpkit.reductions
+from karpkit.binprog import EQ, GE
+from karpkit.genlab import GeneratorSpec, generate
 from karpkit.instances import (
     Certificate,
     CnfFormula,
@@ -45,7 +49,7 @@ def _agree(rid, problem):
     b = solve(target)
     assert a.answer == b.answer, rid
     if b.answer:
-        lifted = spec.lift(problem, b.certificate)
+        lifted = spec.lift(problem, target, b.certificate)
         assert verify_certificate(problem, lifted), rid
     return target
 
@@ -121,7 +125,7 @@ def test_clique_k1_lift_single_vertex():
     t = R["clique_to_ip"].apply(p)
     v = solve(t)
     assert v.answer
-    lifted = R["clique_to_ip"].lift(p, v.certificate)
+    lifted = R["clique_to_ip"].lift(p, t, v.certificate)
     assert len(lifted.value) == 1
 
 
@@ -145,7 +149,7 @@ def test_set_packing_examples():
     p = Problem("set_packing", fam, param=2)
     t = _agree("set_packing_to_ip", p)
     v = solve(t)
-    lifted = R["set_packing_to_ip"].lift(p, v.certificate)
+    lifted = R["set_packing_to_ip"].lift(p, t, v.certificate)
     assert lifted.value == (1, 3)
     assert _nonzeros(t.payload) == 6 + 3
 
@@ -182,7 +186,7 @@ def test_exact_cover_examples():
     p = Problem("exact_cover", fam)
     t = _agree("exact_cover_to_ip", p)
     v = solve(t)
-    lifted = R["exact_cover_to_ip"].lift(p, v.certificate)
+    lifted = R["exact_cover_to_ip"].lift(p, t, v.certificate)
     assert lifted.value == (1, 2)
     assert _nonzeros(t.payload) == 5
 
@@ -213,7 +217,7 @@ def test_fas_two_cycle():
     p = Problem("feedback_arc_set", DiGraph(2, ((1, 2), (2, 1))), param=1)
     t = _agree("fas_to_fns", p)
     v = solve(t)
-    lifted = R["fas_to_fns"].lift(p, v.certificate)
+    lifted = R["fas_to_fns"].lift(p, t, v.certificate)
     assert len(lifted.value) == 1 and lifted.value[0] in ((1, 2), (2, 1))
 
 
@@ -341,7 +345,7 @@ def test_knapsack_examples():
     p = Problem("knapsack", IntegerList((2, 3, 5), 7))
     t = _agree("knapsack_to_ip", p)
     v = solve(t)
-    lifted = R["knapsack_to_ip"].lift(p, v.certificate)
+    lifted = R["knapsack_to_ip"].lift(p, t, v.certificate)
     assert lifted.value == (1, 3)
     assert _nonzeros(t.payload) == 3 and len(t.payload.rows) == 1
 
@@ -368,7 +372,7 @@ def test_max_cut_examples():
     p = Problem("max_cut", UGraph(2, ((1, 2),), (1,)), param=1)
     t = _agree("max_cut_to_ip", p)
     v = solve(t)
-    lifted = R["max_cut_to_ip"].lift(p, v.certificate)
+    lifted = R["max_cut_to_ip"].lift(p, t, v.certificate)
     s = set(lifted.value)
     assert (1 in s) != (2 in s)
     assert _nonzeros(t.payload) == 13 * 1
@@ -485,3 +489,116 @@ def test_route_all_kinds_end_in_kernel():
         chain = route_to_kernel(kind)
         end = chain.steps[-1].target_kind if chain.steps else kind
         assert end in KERNEL_KINDS, kind
+
+
+# ---------------------------------------------------------------------------
+# lifts read the target
+# ---------------------------------------------------------------------------
+
+_TRIANGLE = UGraph(3, ((1, 2), (1, 3), (2, 3)))
+_PATH3 = UGraph(3, ((1, 2), (2, 3)))
+
+# a small YES instance per registered reduction, each one with a sound lift
+LIFT_CASES = {
+    "sat_to_3sat": Problem("sat", CnfFormula(4, ((1, 2, 3, 4), (-1, -2)))),
+    "clique_to_ip": Problem("clique", _TRIANGLE, param=3),
+    "set_packing_to_ip": Problem("set_packing", SetFamily(4, ((1, 2), (2, 3), (3, 4))), 2),
+    "node_cover_to_set_covering": Problem("node_cover", _TRIANGLE, param=2),
+    "set_covering_to_ip": Problem("set_covering", SetFamily(3, ((1, 2), (2, 3), (3,))), 2),
+    "fas_to_fns": Problem("feedback_arc_set", DiGraph(2, ((1, 2), (2, 1))), param=1),
+    "dhcp_to_hcp": Problem("dhcp", DiGraph(3, ((1, 2), (2, 3), (3, 1)))),
+    "threesat_to_ip": Problem("threesat", CnfFormula(3, ((1, -2, 3), (1, 2, 3)))),
+    "exact_cover_to_ip": Problem("exact_cover", SetFamily(3, ((1, 2), (3,), (1, 3)))),
+    "hitting_set_to_ip": Problem("hitting_set", SetFamily(3, ((1, 2), (2, 3)))),
+    "steiner_tree_to_ip": Problem(
+        "steiner_tree", SteinerInstance(UGraph(2, ((1, 2),), (1,)), (1, 2), 1)),
+    "three_dim_matching_to_ip": Problem(
+        "three_dim_matching", TripleFamily(2, ((1, 1, 2), (2, 2, 1), (1, 2, 1)))),
+    "knapsack_to_ip": Problem("knapsack", IntegerList((2, 3, 5), 7)),
+    "partition_to_knapsack": Problem("partition", IntegerList((1, 2, 3))),
+    "max_cut_to_ip": Problem("max_cut", UGraph(3, ((1, 2), (2, 3)), (2, 3)), param=5),
+    "chromatic_to_clique_cover": Problem("chromatic_number", _PATH3, param=2),
+    "chromatic_to_clique_cover_compressed": Problem("chromatic_number", _PATH3, param=2),
+}
+
+
+def test_no_lift_runs_a_transform(monkeypatch):
+    def refuse(problem, *args, **kwargs):
+        raise AssertionError("a lift ran a transform on %s" % problem.kind)
+
+    # the registry keeps the original transforms, so apply still works
+    for name in list(vars(karpkit.reductions)):
+        if name.startswith("reduce_"):
+            monkeypatch.setattr(karpkit.reductions, name, refuse)
+    assert LIFT_CASES.keys() == R.keys()
+    for rid, source in LIFT_CASES.items():
+        target = R[rid].apply(source)
+        verdict = solve(target)
+        assert verdict.answer, rid
+        lifted = R[rid].lift(source, target, verdict.certificate)
+        assert verify_certificate(source, lifted), rid
+
+
+def test_lift_chain_applies_each_step_once():
+    calls = []
+
+    def counted(spec):
+        def transform(problem):
+            calls.append(spec.name)
+            return spec.transform(problem)
+        return dataclasses.replace(spec, transform=transform)
+
+    chain = ReductionChain(tuple(counted(s) for s in route_to_kernel("node_cover").steps))
+    p = LIFT_CASES["node_cover_to_set_covering"]
+    v = solve(compose(chain, p))
+    calls.clear()
+    lifted = lift_chain(chain, p, v.certificate)
+    assert calls == ["node_cover_to_set_covering", "set_covering_to_ip"]
+    assert verify_certificate(p, lifted)
+
+
+# ---------------------------------------------------------------------------
+# slack bounds of the rows onto ip01
+# ---------------------------------------------------------------------------
+
+
+def _satisfying_lhs(prog):
+    """Each row's LHS under every satisfying assignment: one row of the
+    result per assignment, one column per constraint row."""
+    v = prog.num_variables
+    x = (np.arange(2 ** v)[:, None] >> np.arange(v)) & 1
+    a = np.zeros((len(prog.rows), v), dtype=np.int64)
+    for r, row in enumerate(prog.rows):
+        for i, c in row.terms:
+            a[r, i] += c
+    lhs = x @ a.T
+    ok = np.ones(len(x), dtype=bool)
+    for r, row in enumerate(prog.rows):
+        col = lhs[:, r]
+        if row.relation == EQ:
+            ok &= col == row.rhs
+        elif row.relation == GE:
+            ok &= col >= row.rhs
+        else:
+            ok &= col <= row.rhs
+    return lhs[ok]
+
+
+@pytest.mark.parametrize(
+    "rid", [rid for rid, spec in R.items() if spec.target_kind == "ip01"])
+def test_slack_bounds_cover_every_satisfying_assignment(rid):
+    spec = R[rid]
+    checked = 0
+    for seed in range(30):
+        prog = spec.apply(generate(GeneratorSpec(spec.source_kind, seed))).payload
+        if prog.num_variables > 16:
+            continue
+        lhs = _satisfying_lhs(prog)
+        for r, row in enumerate(prog.rows):
+            if row.relation == EQ or not len(lhs):
+                continue
+            gap = lhs[:, r] - row.rhs if row.relation == GE else row.rhs - lhs[:, r]
+            assert row.slack_bound is not None and gap.max() <= row.slack_bound, (
+                rid, seed, r)
+        checked += 1
+    assert checked >= 10, rid
