@@ -21,8 +21,8 @@ from karpkit.instances import (
     measure_input_size,
     validate,
 )
-from karpkit.oracles import solve
-from karpkit.reductions import apply_chain, route_to_kernel
+from karpkit.oracles import BudgetExceededError, solve
+from karpkit.reductions import apply_chain, lift_chain, route_to_kernel
 from karpkit.serialize import (
     dumps_certificate,
     dumps_problem,
@@ -320,3 +320,84 @@ def test_json_target_is_read_for_knapsack_and_refused_for_partition():
                           (partition, "partition carries no target")):
         with pytest.raises(InvalidInstanceError, match=message):
             loads_problem(text)
+
+
+# ---------------------------------------------------------------------------
+# golden certificates: the bytes of every oracle witness and lifted witness
+# ---------------------------------------------------------------------------
+
+
+def _witness(problem):
+    try:
+        return solve(problem).certificate
+    except BudgetExceededError:
+        return None
+
+
+def _certificates(kind, seed):
+    """The oracle's certificate of generate(GeneratorSpec(kind, seed)), and
+    the one lifted back through its kernel route from the image's oracle
+    certificate after a dumps/loads round trip; NO and refusals give none."""
+    problem = generate(GeneratorSpec(kind, seed))
+    chain = route_to_kernel(kind)
+    image = _witness(apply_chain(chain, problem)[-1])
+    certs = [_witness(problem)]
+    if image is not None:
+        certs.append(lift_chain(chain, problem, loads_certificate(dumps_certificate(image))))
+    return [c for c in certs if c is not None]
+
+
+# sha256 over the dumps_certificate bytes of _certificates(kind, s), s = 0..49
+CERTIFICATE_GOLDEN = {
+    "sat":
+        "dbebc3c269d0671870c21aa26d9b62eec10c10f7db068d8ffd6e8a80d9c70385",
+    "ip01":
+        "8d53f5509060ed8fb265fa40fde198e9eea4d0350818c43bfb7da5a4a1614258",
+    "clique":
+        "8988152702806ac9cc4f7404335e5e20c0f0a02401a867d915b58592d1b4700c",
+    "set_packing":
+        "706351b0915e246d58066f5f6ba3e25ec9111c3abfa61ff4247787777cf03819",
+    "node_cover":
+        "f5daaa7f3d75461f85b2426803b3e19330c01001e00b85c93343c4f8f8dd7d75",
+    "set_covering":
+        "d1c127cd528d79a203b3d89c3799d85e24bc171b6f3258ec880ef2f1839bbe3d",
+    "feedback_node_set":
+        "ca94f94dd25509b6d87758ef12ceb6e10667e53981dab2a7baea356e247a1753",
+    "feedback_arc_set":
+        "8d36aa2445d0e41d184b6571abc8b2b4d28fec5123113aa88b9730c0c37f432c",
+    "dhcp":
+        "1c84b8bb8169fb57253d0d1183279a73940f8d20c45c2eb748fbf23438f87db6",
+    "hcp":
+        "08a80c4ef77b366b96ffde5341799e3205c7b29cb7c0d28c2a859fb7cb86bdba",
+    "threesat":
+        "e243cc8b0263ba89afc81d9600952e659544c672b8aa6014970e913a7a608e14",
+    "chromatic_number":
+        "5d1c4e18c125c63b790ee3fd44e348db6ffb5b6136f07a26d9677235e5db08ec",
+    "clique_cover":
+        "dc0c391e52847fe575171ae110b35ee76ea36abb537668854beff66ff8333c01",
+    "exact_cover":
+        "402f254589039a4dffda3408dd7114d0c260765fd2aab1be043b32dee8694d60",
+    "hitting_set":
+        "d87a6dc370d7daa9b99ec365ed0d216172b10210ad7cfd112e307559301d4864",
+    "steiner_tree":
+        "4f4250c16227d0b043c9025efd1b8924793700030c5272de40ffcc43ac323039",
+    "three_dim_matching":
+        "254ba158dd9cd4146587d5819a94149d1f491070af3543572885febad391e35c",
+    "knapsack":
+        "1d2eb12fc294b24424ccbc1ccfd53e8cd4ef4c4be972e99d035d36d95577db87",
+    "partition":
+        "9b6027ce97e42e314082812ab4aa4e5edde0efbf6e01acc353862250a2ac3d08",
+    "max_cut":
+        "ee64965b10f918b8cb3dc568ba8805ac8f21c06cec05dbb63f7d8938fd66430e",
+}
+
+
+@pytest.mark.parametrize("kind", CERTIFICATE_GOLDEN)
+def test_golden_certificate_bytes(kind):
+    h = hashlib.sha256()
+    for s in range(50):
+        for cert in _certificates(kind, s):
+            text = dumps_certificate(cert)
+            assert loads_certificate(text) == cert
+            h.update(text.encode())
+    assert h.hexdigest() == CERTIFICATE_GOLDEN[kind]
