@@ -15,12 +15,7 @@ import sys
 from . import serialize
 from .genlab import GeneratorSpec, generate
 from .growth import audit
-from .instances import (
-    InvalidInstanceError,
-    UnsupportedKindError,
-    measure_input_size,
-    verify_certificate,
-)
+from .instances import measure_input_size, verify_certificate
 from .oracles import DEFAULT_BUDGET, BudgetExceededError, solve
 from .reductions import (
     REDUCTIONS,
@@ -61,7 +56,6 @@ def _load_problem(args):
         if args.kind is None:
             raise UsageError("--format edgelist requires --kind")
         return serialize.parse_edge_list(text, args.kind, args.param)
-    raise UsageError("unknown format %r" % args.format)
 
 
 class UsageError(Exception):
@@ -246,10 +240,8 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget refusal: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, UnsupportedKindError, InvalidInstanceError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError, OSError) as exc:
+    # the library's refusals of malformed input, and JSON's, are ValueErrors
+    except (UsageError, KeyError, ValueError, TypeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

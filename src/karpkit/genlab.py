@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binprog import BinaryProgram, ConstraintRow, VariableTag
 from .instances import (
     CnfFormula,
     DiGraph,
@@ -254,8 +255,6 @@ def generate(spec):
         return validate(Problem(kind, IntegerList(values, target)))
 
     if kind == "ip01":
-        from .binprog import BinaryProgram, ConstraintRow, VariableTag
-
         v = p.get("variables", 6)
         rows = p.get("rows", 3)
         max_terms = p.get("max_terms", min(4, v))

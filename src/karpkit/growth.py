@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -81,7 +80,7 @@ class GrowthReport:
         return "\n".join(lines) + "\n"
 
 
-def audit(reduction_id, family, scales, claim: Optional[tuple] = None):
+def audit(reduction_id, family, scales):
     """Audit one reduction over a generator family at the given scale points.
 
     `family` is a GeneratorSpec whose kind matches the reduction's source
@@ -94,7 +93,6 @@ def audit(reduction_id, family, scales, claim: Optional[tuple] = None):
             "%s audits %r families, got %r"
             % (reduction_id, spec.source_kind, family.kind)
         )
-    claim = claim if claim is not None else spec.growth_claim
     element_pairs, bits_pairs, checks = [], [], []
     for scale in scales:
         source = generate(scaled_spec(family, scale))
@@ -118,7 +116,7 @@ def audit(reduction_id, family, scales, claim: Optional[tuple] = None):
     max_ratio = float((outs / ins).max())
     # least squares through the origin: slope = <in, out> / <in, in>
     fitted_slope = float(ins.dot(outs) / ins.dot(ins))
-    alpha, beta = claim
+    alpha, beta = spec.growth_claim
     bound_ok = bool((outs <= alpha * ins + beta + 1e-9).all())
     formulas_ok = all(ok for *_, ok in checks)
     return GrowthReport(

@@ -5,8 +5,10 @@ Each problem instance is a `Problem` carrying a kind tag, a payload carrier
 parameter.  A kind is defined in one place: its entry in `KINDS`, at the
 end of this module.  The entry names the payload carrier, the JSON name of
 the parameter, the conditions the kind adds to its carrier's own, and its
-certificate (witness shape and YES test).  Each carrier validates itself,
-measures itself in both size modes and converts itself to and from JSON, so
+certificate: the certificate kind, a shape check that refuses a value of
+the wrong types or range, and the YES test.  `certificate` is the one place
+that makes a kind's certificate.  Each carrier validates itself, measures
+itself in both size modes and converts itself to and from JSON, so
 `validate`, `measure_input_size` and `serialize` read the table and never
 branch on a kind.
 
@@ -20,7 +22,7 @@ search of its own) and, unless it is a kernel kind, a route in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -54,6 +56,12 @@ def is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _integers(values, msg):
+    """Every value an int, and none a bool or a float.  The set of their
+    types is built in C: this runs on every vertex, element and index."""
+    _check({*map(type, values)} <= {int}, msg)
+
+
 # ---------------------------------------------------------------------------
 # payload carriers: each one validates itself, measures itself (element mode
 # counts data items, bits mode weighs every number by its encoding length)
@@ -70,7 +78,9 @@ class CnfFormula:
 
     def validate(self):
         n = self.num_literals
+        _check(is_int(n), "literal count must be an integer")
         _check(n >= 0, "negative literal count")
+        _integers(chain.from_iterable(self.clauses), "literals must be integers")
         for c in self.clauses:
             _check(len(c) >= 1, "empty clause")
             for lit in c:
@@ -130,7 +140,9 @@ class UGraph:
 
     def validate(self):
         n = self.num_vertices
+        _check(is_int(n), "vertex count must be an integer")
         _check(n >= 0, "negative vertex count")
+        _integers(chain.from_iterable(self.edges), "vertex numbers must be integers")
         seen = set()
         # messages are formatted only on failure: validation runs on every edge
         for i, j in self.edges:
@@ -193,6 +205,8 @@ class DiGraph:
 
     def validate(self):
         n = self.num_vertices
+        _check(is_int(n), "vertex count must be an integer")
+        _integers(chain.from_iterable(self.arcs), "vertex numbers must be integers")
         seen = set()
         for i, j in self.arcs:
             _check(1 <= i <= n and 1 <= j <= n, "vertex out of range")
@@ -233,6 +247,8 @@ class SetFamily:
         return out
 
     def validate(self):
+        _check(is_int(self.universe_size), "universe size must be an integer")
+        _integers(chain.from_iterable(self.sets), "elements must be integers")
         for s in self.sets:
             _check(len(set(s)) == len(s), "duplicate element within one set")
             for x in s:
@@ -261,6 +277,8 @@ class TripleFamily:
     triples: tuple
 
     def validate(self):
+        _check(is_int(self.t_size), "t_size must be an integer")
+        _integers(chain.from_iterable(self.triples), "coordinates must be integers")
         seen = set()
         for t in self.triples:
             _check(len(t) == 3, "triple must have three coordinates")
@@ -324,6 +342,7 @@ class SteinerInstance:
         _check(g.weights is not None, "weights required")
         _check(g.complement is False, "complement flag reserved for clique_cover")
         _check(len(self.terminals) >= 1, "terminal set empty")
+        _integers(self.terminals, "terminals must be integers")
         _check(
             all(1 <= r <= g.num_vertices for r in self.terminals),
             "terminal out of range",
@@ -535,16 +554,6 @@ def _members(count, msg, duplicate_msg=None):
     return shape
 
 
-def _indices(count, msg, duplicate_msg):
-    """An index list: indices in 1..count(payload), none repeated."""
-    def shape(problem, v):
-        idx = list(v)
-        n = count(problem.payload)
-        _cc(all(1 <= i <= n for i in idx), msg)
-        _cc(len(set(idx)) == len(idx), duplicate_msg)
-    return shape
-
-
 def _cycle(minimum):
     """A cycle: a permutation of all vertices, at least `minimum` of them."""
     def shape(problem, v):
@@ -558,6 +567,12 @@ def _cycle(minimum):
 
 def _assignment_shape(problem, v):
     _cc(len(v) == problem.payload.num_literals, "assignment length mismatch")
+    _cc(all(type(x) is bool for x in v), "assignment must be boolean")
+
+
+def _binary_shape(problem, v):
+    _cc(len(v) == problem.payload.num_variables, "assignment length mismatch")
+    _cc(all(type(x) is int and x in (0, 1) for x in v), "assignment must be binary")
 
 
 def _arc_set_shape(problem, v):
@@ -766,12 +781,12 @@ _vertex_count = attrgetter("num_vertices")
 _vertices = _members(_vertex_count, "vertex out of range")
 _clique = _members(_vertex_count, "vertex out of range", "duplicate vertices in clique")
 _set_members = _members(attrgetter("num_sets"), "set index out of range")
-_set_indices = _indices(
+_set_indices = _members(
     attrgetter("num_sets"), "set index out of range", "duplicate set indices")
 _elements = _members(attrgetter("universe_size"), "element out of range")
-_triples = _indices(
+_triples = _members(
     lambda p: len(p.triples), "triple index out of range", "duplicate triple indices")
-_items = _indices(
+_items = _members(
     lambda p: len(p.values), "item index out of range", "duplicate item indices")
 
 
@@ -802,9 +817,8 @@ _PLAIN = (_unweighted, _uncomplemented)
 # the one place that says what witnesses a kind and when a witness means YES
 KINDS = {
     "sat": KindSpec(CnfFormula, None, (), ("assignment", _assignment_shape, _sat_yes)),
-    # BinaryProgram.satisfied_by checks the assignment's shape itself
     "ip01": KindSpec(BinaryProgram, None, (), (
-        "binary", lambda problem, v: None, attrgetter("payload.satisfied_by"))),
+        "binary", _binary_shape, attrgetter("payload.satisfied_by"))),
     "clique": KindSpec(UGraph, "k", _PLAIN + (_param_within_vertices,), (
         "vertex_set", _clique, _clique_yes)),
     "set_packing": KindSpec(SetFamily, "l", (), (
@@ -840,6 +854,11 @@ KINDS = {
     "max_cut": KindSpec(UGraph, "W", (_weighted, _uncomplemented), (
         "vertex_set", _vertices, _max_cut_yes)),
 }
+
+
+def certificate(problem, value):
+    """A certificate for `problem`, of the kind its `KINDS` entry declares."""
+    return Certificate(KINDS[problem.kind].certificate[0], value)
 
 
 def yes_test(problem):

@@ -22,14 +22,14 @@ from math import comb
 from typing import Optional
 
 from .instances import (
-    KINDS,
     Certificate,
     UnsupportedKindError,
+    certificate,
     validate,
     verify_certificate,
     yes_test,
 )
-from .binprog import VarCapExceededError, solve_ip
+from .binprog import solve_ip
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -64,7 +64,7 @@ def _exceeded(kind, budget):
 
 
 def _yes(problem, value, explored):
-    cert = Certificate(KINDS[problem.kind].certificate[0], value)
+    cert = certificate(problem, value)
     if not verify_certificate(problem, cert):
         raise OracleSelfCheckError(
             "%s oracle witness %r does not verify" % (problem.kind, value)
@@ -150,10 +150,7 @@ def solve(problem, budget=DEFAULT_BUDGET):
         return OracleVerdict(False, None, explored)
     if kind == "ip01":
         _guard(1 << p.num_variables, budget, kind)
-        try:
-            solution = solve_ip(p, var_cap=p.num_variables)
-        except VarCapExceededError as exc:  # pragma: no cover - guarded above
-            raise BudgetExceededError(str(exc))
+        solution = solve_ip(p, var_cap=p.num_variables)
         explored = 1 << p.num_variables
         if solution is None:
             return OracleVerdict(False, None, explored)
@@ -220,8 +217,7 @@ def _solve_clique_cover(problem, budget):
     p = problem.payload
     n, l = p.num_vertices, problem.param
     if n == 0:
-        cert = Certificate("clique_partition", ())
-        return OracleVerdict(True, cert, 1)
+        return _yes(problem, (), 1)
     if l == 0:
         return OracleVerdict(False, None, 0)
     is_yes = yes_test(problem)

@@ -9,10 +9,11 @@ where known, exact nonzero/RHS count formulas for its output.
 A lift is called as `lift(source, target, cert)`, where `target` is the
 instance the transform made from `source` (`lift_chain` hands each step the
 pair from its one `apply_chain` call), so a lift reads the target and never
-runs the transform again.  It builds its certificate with `_certificate`,
-which takes the certificate kind from `instances.KINDS[source.kind]`.  A
-reduction onto ip01 tags its variables `(tag, index, ...)`, and a lift that
-only picks variables is `_tagged(tag)`.
+runs the transform again.  It builds its certificate with
+`instances.certificate`, which takes the certificate kind from the source's
+`KINDS` entry, so no lift names a certificate kind.  A reduction onto ip01
+tags its variables `(tag, index, ...)`, and a lift that only picks
+variables is `_tagged(tag)`.
 
 Reductions onto 0-1 integer programming emit inequality rows with their
 analytically-derived slack bounds so that `to_equality_form` can finish
@@ -28,7 +29,6 @@ from typing import Callable, Optional
 
 from .instances import (
     KINDS,
-    Certificate,
     CnfFormula,
     DiGraph,
     IntegerList,
@@ -38,6 +38,7 @@ from .instances import (
     SteinerInstance,
     UGraph,
     UnsupportedKindError,
+    certificate,
 )
 from .binprog import EQ, GE, LE, BinaryProgram, ConstraintRow, VariableTag
 
@@ -65,16 +66,11 @@ class ReductionSpec:
         return self.transform(problem)
 
 
-def _certificate(source, value):
-    """A certificate for `source`, of the kind its `KINDS` entry declares."""
-    return Certificate(KINDS[source.kind].certificate[0], value)
-
-
 def _tagged(tag, picked=1):
     """Lift from ip01: the index in each origin whose variable has tag `tag`
     and is set to `picked`, in variable order."""
     def lift(source, target, cert):
-        return _certificate(source, tuple(
+        return certificate(source, tuple(
             var.origin[1]
             for var, x in zip(target.payload.variables, cert.value)
             if var.origin[0] == tag and x == picked
@@ -84,7 +80,7 @@ def _tagged(tag, picked=1):
 
 def lift_same(source, target, cert):
     """The target witness is the source witness under the source's certificate kind."""
-    return _certificate(source, tuple(cert.value))
+    return certificate(source, tuple(cert.value))
 
 
 def _row(terms, relation, rhs, slack_bound=None):
@@ -126,7 +122,7 @@ def reduce_sat_to_3sat(problem):
 
 def lift_sat_to_3sat(source, target, cert):
     m = source.payload.num_literals
-    return _certificate(source, tuple(cert.value[:m]))
+    return certificate(source, tuple(cert.value[:m]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def lift_fas_to_fns(source, target, cert):
             _, vertex, _ = label
             incident = in_arcs[vertex] + out_arcs[vertex]
             chosen.add(g.arcs[incident[0]])
-    return _certificate(source, tuple(sorted(chosen)))
+    return certificate(source, tuple(sorted(chosen)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +336,7 @@ def lift_dhcp_to_hcp(source, target, cert):
                     ok = False
                     break
             if ok:
-                return _certificate(source, tuple(seq))
+                return certificate(source, tuple(seq))
     raise InvalidCertificateError("cycle does not traverse gadgets in order")
 
 
@@ -383,7 +379,7 @@ def reduce_threesat_to_ip(problem):
 
 def lift_threesat_to_ip(source, target, cert):
     m = source.payload.num_literals
-    return _certificate(source, tuple(bool(x) for x in cert.value[:m]))
+    return certificate(source, tuple(bool(x) for x in cert.value[:m]))
 
 
 def counts_threesat_to_ip(source, target):
@@ -510,7 +506,7 @@ def lift_steiner_tree_to_ip(source, target, cert):
             edges.add((min(i, j), max(i, j)))
         elif tag.origin[0] == "root":
             root = tag.origin[1]
-    return _certificate(source, {"edges": tuple(sorted(edges)), "root": root})
+    return certificate(source, {"edges": tuple(sorted(edges)), "root": root})
 
 
 def counts_steiner_tree(source, target):
@@ -652,7 +648,7 @@ def lift_chromatic_to_clique_cover(source, target, cert):
     for color, block in enumerate(cert.value, start=1):
         for vertex in block:
             colors[vertex - 1] = color
-    return _certificate(source, tuple(colors))
+    return certificate(source, tuple(colors))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Native format is a JSON envelope {"kind": <tag>, "payload": {...}}.  The
 payload is the carrier's own JSON object (`to_json`/`from_json` on each
 carrier in `instances`), plus the kind's scalar parameter under the name its
-`instances.KINDS` entry gives; this module holds no per-kind branches.
+`instances.KINDS` entry gives.  A certificate is {"kind": ..., "value": ...}
+with its value as written, read back uncoerced with every JSON array as a
+tuple; the shape checks in `KINDS` refuse values of the wrong types.  This
+module holds no per-kind branches.
 Importers: DIMACS CNF (for sat) and whitespace edge lists with an optional
 third weight column (for graph kinds).
 """
@@ -66,40 +69,21 @@ def loads_problem(text):
 
 
 def certificate_to_json(cert):
-    value = cert.value
-    if cert.kind == "tree":
-        value = {"edges": [list(e) for e in value["edges"]], "root": value["root"]}
-    elif cert.kind == "arc_set":
-        value = [list(a) for a in value]
-    elif cert.kind == "clique_partition":
-        value = [list(b) for b in value]
-    elif cert.kind == "assignment":
-        value = [bool(x) for x in value]
-    else:
-        value = list(value)
-    return {"kind": cert.kind, "value": value}
+    return {"kind": cert.kind, "value": cert.value}
+
+
+def _tuples(value):
+    """A JSON value with every array, at any depth, read as a tuple."""
+    if isinstance(value, list):
+        return tuple(map(_tuples, value))
+    if isinstance(value, dict):
+        return {key: _tuples(v) for key, v in value.items()}
+    return value
 
 
 def certificate_from_json(d):
     _require_object(d, "certificate")
-    kind = d["kind"]
-    value = d["value"]
-    if kind == "tree":
-        value = {
-            "edges": tuple(tuple(e) for e in value["edges"]),
-            "root": value["root"],
-        }
-    elif kind == "arc_set":
-        value = tuple(tuple(a) for a in value)
-    elif kind == "clique_partition":
-        value = tuple(tuple(b) for b in value)
-    elif kind == "assignment":
-        value = tuple(bool(x) for x in value)
-    elif kind == "binary":
-        value = tuple(int(x) for x in value)
-    else:
-        value = tuple(value)
-    return Certificate(kind, value)
+    return Certificate(d["kind"], _tuples(d["value"]))
 
 
 def dumps_certificate(cert):

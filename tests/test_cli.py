@@ -226,6 +226,18 @@ _STEINER = (
     '{"kind": "steiner_tree", "payload": '
     '{"graph": {"num_vertices": 2, "edges": [[1, 2, 1]]}, "terminals": [1, 2], "k": %s}}'
 )
+_SET_PACKING = (
+    '{"kind": "set_packing", "payload": '
+    '{"family": {"universe_size": %s, "sets": [[1, %s], [3]]}, "l": 2}}'
+)
+_MATCHING = '{"kind": "three_dim_matching", "payload": {"t_size": %s, "triples": [[1, 1, %s]]}}'
+_TERMINALS = (
+    '{"kind": "steiner_tree", "payload": '
+    '{"graph": {"num_vertices": 2, "edges": [[1, 2, 1]]}, "terminals": [1, %s], "k": 1}}'
+)
+_HCP = '{"kind": "hcp", "payload": {"graph": {"num_vertices": %s, "edges": [[1, %s]]}}}'
+_DHCP = '{"kind": "dhcp", "payload": {"graph": {"num_vertices": 2, "arcs": [[1, %s]]}}}'
+_SAT = '{"kind": "sat", "payload": {"num_literals": %s, "clauses": [[%s]]}}'
 
 
 @pytest.mark.parametrize("text, argv, message", [
@@ -238,14 +250,50 @@ _STEINER = (
     (_MAX_CUT % (1.5, 1), ("route", "--to-kernel"), "edge weights must be integers"),
     (_KNAPSACK % 2.5, ("solve",), "target must be an integer"),
     (_STEINER % 1.5, ("solve",), "weight budget must be an integer"),
+    (_SET_PACKING % (3, 2.0), ("solve",), "elements must be integers"),
+    (_SET_PACKING % (3.5, 2), ("solve",), "universe size must be an integer"),
+    (_MATCHING % (1, 1.0), ("solve",), "coordinates must be integers"),
+    (_MATCHING % (1.5, 1), ("solve",), "t_size must be an integer"),
+    (_TERMINALS % 2.0, ("solve",), "terminals must be integers"),
+    (_HCP % (3, 2.5), ("solve",), "vertex numbers must be integers"),
+    (_HCP % (3.0, 2), ("solve",), "vertex count must be an integer"),
+    (_DHCP % 2.0, ("solve",), "vertex numbers must be integers"),
+    (_SAT % (2.5, 1), ("solve",), "literal count must be an integer"),
+    (_SAT % (1, 1.0), ("solve",), "literals must be integers"),
 ], ids=["partition-float", "partition-float-bits", "partition-bool", "max_cut-W-bits",
-        "max_cut-weight", "max_cut-weight-route", "knapsack-target", "steiner-budget"])
+        "max_cut-weight", "max_cut-weight-route", "knapsack-target", "steiner-budget",
+        "set_packing-element", "set_packing-universe", "3dm-coordinate", "3dm-t_size",
+        "steiner-terminal", "hcp-vertex", "hcp-vertex-count", "dhcp-vertex", "sat-count",
+        "sat-literal"])
 def test_non_integer_numbers_are_usage_errors(capsys, monkeypatch, text, argv, message):
     # otherwise 1.5 + 1.5 reads as NO and bits mode crashes with a traceback
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, out, err = run(capsys, *argv, "-")
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message
+
+
+_SAT1 = _SAT % (1, 1)
+
+
+@pytest.mark.parametrize("instance, cert_kind, value", [
+    (_ip01_text(1, 1), "binary", [0.7, 1]),
+    (_ip01_text(1, 1), "binary", ["0", "1"]),
+    (_ip01_text(1, 1), "binary", [1.9, 0]),
+    (_SAT1, "assignment", ["false"]),
+    (_SAT1, "assignment", [0]),
+], ids=["binary-float", "binary-str", "binary-float-high", "assignment-str",
+        "assignment-int"])
+def test_verify_refuses_certificate_values_of_another_type(
+    tmp_path, capsys, instance, cert_kind, value
+):
+    # a value is not coerced as it loads: [0.7, 1] read as (0, 1) answered
+    # YES, and ["false"] read as (True,)
+    path = _write(tmp_path, "p.json", instance)
+    cert = _write(tmp_path, "c.json", json.dumps({"kind": cert_kind, "value": value}))
+    code, out, err = run(capsys, "verify", path, "--cert", cert)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_outputs_re_readable(tmp_path, capsys):

@@ -275,6 +275,12 @@ MALFORMED = [
      "item index out of range"),
     (Problem("partition", IntegerList((1, 1))), "item_indices", (1, 1),
      "duplicate item indices"),
+    (Problem("ip01", _IP), "binary", (0.5, 1), "assignment must be binary"),
+    (Problem("ip01", _IP), "binary", (True, False), "assignment must be binary"),
+    (Problem("threesat", CnfFormula(1, ((1,),))), "assignment", (0,),
+     "assignment must be boolean"),
+    (Problem("threesat", CnfFormula(1, ((1,),))), "assignment", ("false",),
+     "assignment must be boolean"),
 ]
 
 
