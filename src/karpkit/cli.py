@@ -19,9 +19,9 @@ from .instances import measure_input_size, verify_certificate
 from .oracles import DEFAULT_BUDGET, BudgetExceededError, solve
 from .reductions import (
     REDUCTIONS,
+    _lift_stages,
     apply_chain,
     chain_from_names,
-    lift_chain,
     route_to_kernel,
 )
 
@@ -126,13 +126,14 @@ def cmd_lift(args):
     names = [step["reduction"] for step in manifest["steps"]]
     chain = chain_from_names(names)
     cert = serialize.loads_certificate(_read_text(args.cert))
+    stages = apply_chain(chain, source)
     # the lifts index into the certificate: check it against the instance it
     # claims to witness first (a malformed one raises, a usage error)
-    if not verify_certificate(apply_chain(chain, source)[-1], cert):
+    if not verify_certificate(stages[-1], cert):
         print("certificate does not verify for the chain's final instance",
               file=sys.stderr)
         return EXIT_NO
-    lifted = lift_chain(chain, source, cert)
+    lifted = _lift_stages(chain, stages, cert)
     if not verify_certificate(source, lifted):
         print("lifted certificate does not verify", file=sys.stderr)
         return EXIT_NO

@@ -56,10 +56,14 @@ def is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _integers(values, msg):
+def _ints(values):
     """Every value an int, and none a bool or a float.  The set of their
     types is built in C: this runs on every vertex, element and index."""
-    _check({*map(type, values)} <= {int}, msg)
+    return {*map(type, values)} <= {int}
+
+
+def _integers(values, msg):
+    _check(_ints(values), msg)
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +544,18 @@ def _acyclic_without(g):
 # the value is malformed for the instance.
 
 
-def _members(count, msg, duplicate_msg=None):
-    """A set-like witness: members in 1..count(payload) and, if
-    `duplicate_msg` is given, none repeated."""
+def _members(count, member, duplicate_msg=None):
+    """A set-like witness: integer members in 1..count(payload) and, if
+    `duplicate_msg` is given, none repeated; `member` names one in the
+    messages."""
     def shape(problem, v):
         # in sequence order, so that a mixed bad value raises the same error
-        # under every hash seed
+        # under every hash seed; a number in range that is not an int (1.0,
+        # True) passes the range check and fails the type check after it
         members = tuple(v)
         n = count(problem.payload)
-        _cc(all(1 <= x <= n for x in members), msg)
+        _cc(all(1 <= x <= n for x in members), "%s out of range" % member)
+        _cc(_ints(members), "%s must be an integer" % member)
         if duplicate_msg is not None:
             _cc(len(set(members)) == len(members), duplicate_msg)
     return shape
@@ -561,6 +568,7 @@ def _cycle(minimum):
         n = problem.payload.num_vertices
         _cc(len(order) == n, "cycle must visit every vertex exactly once")
         _cc(sorted(order) == list(range(1, n + 1)), "cycle is not a permutation")
+        _cc(_ints(order), "vertex must be an integer")
         _cc(n >= minimum, "cycle too short for this convention")
     return shape
 
@@ -576,8 +584,9 @@ def _binary_shape(problem, v):
 
 
 def _arc_set_shape(problem, v):
-    arcs = set(tuple(a) for a in v)
-    _cc(arcs <= set(problem.payload.arcs), "certificate arc not in graph")
+    arcs = [tuple(a) for a in v]
+    _cc(set(arcs) <= set(problem.payload.arcs), "certificate arc not in graph")
+    _cc(_ints(chain.from_iterable(arcs)), "vertex must be an integer")
 
 
 def _coloring_shape(problem, v):
@@ -590,6 +599,7 @@ def _clique_partition_shape(problem, v):
     flat = [x for b in v for x in b]
     n = problem.payload.num_vertices
     _cc(all(1 <= x <= n for x in flat), "vertex out of range")
+    _cc(_ints(flat), "vertex must be an integer")
     _cc(len(flat) == len(set(flat)), "cliques overlap")
 
 
@@ -600,6 +610,7 @@ def _tree_shape(problem, v):
     _cc(1 <= root <= g.num_vertices, "root out of range")
     stored = set(g.edges)
     _cc(all(e in stored for e in edges), "certificate edge not in graph")
+    _cc(_ints(chain([root], *edges)), "vertex must be an integer")
     _cc(len(set(edges)) == len(edges), "duplicate tree edges")
 
 
@@ -778,16 +789,13 @@ def _max_cut_yes(problem):
 
 
 _vertex_count = attrgetter("num_vertices")
-_vertices = _members(_vertex_count, "vertex out of range")
-_clique = _members(_vertex_count, "vertex out of range", "duplicate vertices in clique")
-_set_members = _members(attrgetter("num_sets"), "set index out of range")
-_set_indices = _members(
-    attrgetter("num_sets"), "set index out of range", "duplicate set indices")
-_elements = _members(attrgetter("universe_size"), "element out of range")
-_triples = _members(
-    lambda p: len(p.triples), "triple index out of range", "duplicate triple indices")
-_items = _members(
-    lambda p: len(p.values), "item index out of range", "duplicate item indices")
+_vertices = _members(_vertex_count, "vertex")
+_clique = _members(_vertex_count, "vertex", "duplicate vertices in clique")
+_set_members = _members(attrgetter("num_sets"), "set index")
+_set_indices = _members(attrgetter("num_sets"), "set index", "duplicate set indices")
+_elements = _members(attrgetter("universe_size"), "element")
+_triples = _members(lambda p: len(p.triples), "triple index", "duplicate triple indices")
+_items = _members(lambda p: len(p.values), "item index", "duplicate item indices")
 
 
 @dataclass(frozen=True)

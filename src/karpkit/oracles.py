@@ -5,11 +5,21 @@ An oracle never re-states what a witness is: it tests candidates with
 its shape check.  Most kinds are one entry in `CANDIDATES`: the size of the
 candidate space and an iterator over it in a fixed lexicographic order.  One
 loop refuses a space larger than the budget, then returns the first
-candidate that passes the YES test.  Three kinds keep searches of their own:
-ip01 calls `solve_ip` (bound-pruned, guarded by its 2^v space), dhcp/hcp
-walk vertex orders depth-first with adjacency pruning, and clique_cover
-walks restricted growth strings; the last two count visited nodes or leaves
-against the budget and use explicit stacks, not recursion.  Verdicts and
+candidate that passes the YES test; `explored` counts the candidates
+tried: the witness's 1-based rank, or all of them on NO.
+
+Seven kinds keep searches of their own.  sat/threesat and max_cut search
+depth-first in the order their enumeration would take, skip only subtrees
+that hold no YES candidate, and compute `explored` from the witness's rank
+in that order (2^n on NO), so they answer exactly as the enumeration would:
+sat assigns x1, x2, ... False before True and cuts a branch at a falsified
+clause; max_cut walks the subsets of each size lexicographically and cuts
+a branch whose cut-weight bound falls below the threshold.  Both refuse a
+space larger than the budget before they search.  ip01 calls `solve_ip`
+(bound-pruned, guarded by its 2^v space), dhcp/hcp walk vertex orders
+depth-first with adjacency pruning, and clique_cover walks restricted
+growth strings; the last two count visited nodes or leaves against the
+budget.  Every search uses explicit stacks, not recursion.  Verdicts and
 witnesses are deterministic, and every witness is checked once more by
 `verify_certificate` before it is returned.
 """
@@ -17,8 +27,9 @@ witnesses are deterministic, and every witness is checked once more by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 from math import comb
+from operator import mul, neg
 from typing import Optional
 
 from .instances import (
@@ -110,8 +121,6 @@ def _trees(g):
 # kind -> (payload, param) -> (size of the candidate space, candidate
 # certificate values in the order they are tried)
 CANDIDATES = {
-    "sat": lambda f, _: (
-        1 << f.num_literals, product((False, True), repeat=f.num_literals)),
     "clique": lambda g, k: _choose(g.num_vertices, k),
     "set_packing": lambda f, l: _choose(f.num_sets, l),
     "node_cover": lambda g, l: _subsets(_first(g.num_vertices), l),
@@ -127,9 +136,7 @@ CANDIDATES = {
     "three_dim_matching": lambda f, _: _choose(len(f.triples), f.t_size),
     "knapsack": lambda p, _: _subsets(_first(len(p.values)), len(p.values)),
     "partition": _partitions,
-    "max_cut": lambda g, _: _subsets(_first(g.num_vertices), g.num_vertices),
 }
-CANDIDATES["threesat"] = CANDIDATES["sat"]
 
 
 def solve(problem, budget=DEFAULT_BUDGET):
@@ -155,11 +162,139 @@ def solve(problem, budget=DEFAULT_BUDGET):
         if solution is None:
             return OracleVerdict(False, None, explored)
         return _yes(problem, solution, explored)
+    if kind in ("sat", "threesat"):
+        return _solve_sat(problem, budget)
+    if kind == "max_cut":
+        return _solve_max_cut(problem, budget)
     if kind in ("dhcp", "hcp"):
         return _solve_hamiltonian(problem, budget)
     if kind == "clique_cover":
         return _solve_clique_cover(problem, budget)
     raise UnsupportedKindError("no oracle for kind %r" % kind)
+
+
+def _solve_sat(problem, budget):
+    """Assign x1, x2, ... depth-first, False before True: the order of
+    `product((False, True), repeat=n)`.  A clause is checked once, when its
+    largest variable is set, and a branch ends when it falsifies one; every
+    assignment it skips falsifies that clause.  The witness is the first
+    satisfying assignment in that order, so its rank gives `explored`."""
+    f = problem.payload
+    n = f.num_literals
+    _guard(1 << n, budget, problem.kind)
+    # due[d]: the clauses whose largest variable is x_d, each as the set of
+    # its literals' negations, which are all true iff the clause is false
+    due = [[] for _ in range(n + 1)]
+    for c in f.clauses:
+        due[max(map(abs, c))].append(frozenset(map(neg, c)))
+    path = []  # path[i]: the literal of x_{i+1} that the assignment makes true
+    true = set()  # the literals in path
+    d = 0
+    while d < n:
+        d += 1
+        path.append(-d)
+        true.add(-d)
+        while any(map(true.issuperset, due[d])):
+            # next sibling: drop the variables already at True, then flip one
+            while path[-1] > 0:
+                true.discard(path.pop())
+                d -= 1
+                if not d:
+                    return OracleVerdict(False, None, 1 << n)
+            true.discard(-d)
+            true.add(d)
+            path[-1] = d
+    rank = sum(1 << (n - lit) for lit in path if lit > 0)
+    return _yes(problem, tuple(lit > 0 for lit in path), rank + 1)
+
+
+def _solve_max_cut(problem, budget):
+    """For each size s = 0, 1, ..., n, the s-subsets of the vertices in
+    lexicographic order, the order of `_subsets`: vertices 1..n are placed
+    depth-first, picked before left out, and a branch that has picked s
+    vertices is a leaf (the rest are left out).  A branch ends when its
+    bound falls below the threshold: the cut weight among the placed
+    vertices plus the weight of every edge with an unplaced end.
+    `explored` is the witness's rank: the smaller subsets, then its
+    lexicographic rank among its size."""
+    g, k = problem.payload, problem.param
+    n = g.num_vertices
+    _guard(1 << n, budget, "max_cut")
+    if k == 0:  # the empty set comes first, and its cut of 0 meets k
+        return _yes(problem, (), 1)
+    total = sum(g.weights)
+    if total < k:
+        return OracleVerdict(False, None, 1 << n)
+    # ends[v], weights[v]: v's neighbours u < v and the weights of those edges
+    ends, weights = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
+    degree = [0] * (n + 1)  # the weight of the edges at each vertex
+    for (u, v), w in zip(g.edges, g.weights):
+        ends[v].append(u)
+        weights[v].append(w)
+        degree[u] += w
+        degree[v] += w
+    # rest[v]: the weight of the edges with an end beyond v
+    rest = [total]
+    for v in _first(n):
+        rest.append(rest[-1] - sum(weights[v]))
+    picked = _first_cut(n, k, ends, weights, degree, rest)
+    if picked is None:
+        return OracleVerdict(False, None, 1 << n)
+    return _yes(problem, picked, _subset_rank(n, picked) + 1)
+
+
+def _first_cut(n, k, ends, weights, degree, rest):
+    """The first nonempty subset of 1..n, by size and then
+    lexicographically, whose cut weighs at least k, or None.  The search
+    reads an entry of the arrays below only for vertices placed on its
+    current branch, so they serve every size without being cleared."""
+    side = [0] * (n + 1)  # side[v]: 1 if vertex v is picked
+    to_picked = [0] * (n + 1)  # the weight from v to the picked vertices before it
+    cut = [0] * (n + 1)  # cut[v]: the cut weight among vertices 1..v
+    picked_cut = [0] * (n + 1)  # the weight of the edges leaving the picked ones of 1..v
+    for s in _first(n):
+        v, picked = 1, 0
+        while v:
+            t = to_picked[v] = sum(map(mul, weights[v], map(side.__getitem__, ends[v])))
+            side[v] = 1
+            picked += 1
+            picked_cut[v] = picked_cut[v - 1] + degree[v] - 2 * t
+            if picked == s:
+                if picked_cut[v] >= k:
+                    return tuple(compress(range(v + 1), side))
+            else:
+                cut[v] = cut[v - 1] + rest[v - 1] - rest[v] - t
+                if cut[v] + rest[v] >= k:
+                    v += 1
+                    continue
+            # leave v out; failing that, go back to the last vertex picked
+            # before it and leave that one out instead (none left: v is 0)
+            while v:
+                side[v] = 0
+                picked -= 1
+                cut[v] = cut[v - 1] + to_picked[v]
+                # s - picked vertices are still to pick, after v
+                if n - v >= s - picked and cut[v] + rest[v] >= k:
+                    picked_cut[v] = picked_cut[v - 1]
+                    v += 1
+                    break
+                v -= 1
+                while v and not side[v]:
+                    v -= 1
+    return None
+
+
+def _subset_rank(n, subset):
+    """The 0-based rank of an increasing tuple among the subsets of 1..n
+    in the order of `_subsets`: all smaller subsets, then, for each member,
+    the subsets of its size that agree before it and have a smaller member
+    in its place."""
+    s, previous = len(subset), 0
+    rank = sum(comb(n, j) for j in range(s))
+    for i, x in enumerate(subset):
+        rank += comb(n - previous, s - i) - comb(n - x + 1, s - i)
+        previous = x
+    return rank
 
 
 def _solve_hamiltonian(problem, budget):

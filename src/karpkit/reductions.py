@@ -750,9 +750,13 @@ def apply_chain(chain, problem):
 
 
 def lift_chain(chain, problem, cert):
-    """Replay a chain's lifts right to left, back to a source certificate;
-    step i lifts from stages[i + 1] to stages[i]."""
-    stages = apply_chain(chain, problem)
+    """Replay a chain's lifts right to left, back to a source certificate."""
+    return _lift_stages(chain, apply_chain(chain, problem), cert)
+
+
+def _lift_stages(chain, stages, cert):
+    """`lift_chain` over the stages `apply_chain` gave: step i lifts from
+    stages[i + 1] to stages[i]."""
     for i in reversed(range(len(chain.steps))):
         cert = chain.steps[i].lift(stages[i], stages[i + 1], cert)
     return cert

@@ -6,9 +6,11 @@ import pytest
 
 from karpkit.cli import main
 from karpkit.genlab import GeneratorSpec, generate
-from karpkit.instances import Problem, UGraph
-from karpkit.reductions import apply_chain, chain_from_names
+from karpkit.instances import CnfFormula, Problem, UGraph
+from karpkit.oracles import solve
+from karpkit.reductions import ReductionSpec, apply_chain, chain_from_names
 from karpkit.serialize import (
+    dumps_certificate,
     dumps_problem,
     loads_certificate,
     loads_problem,
@@ -274,6 +276,18 @@ def test_non_integer_numbers_are_usage_errors(capsys, monkeypatch, text, argv, m
 
 
 _SAT1 = _SAT % (1, 1)
+_EDGE = (
+    '{"kind": "%s", "payload": '
+    '{"graph": {"num_vertices": 2, "edges": [[1, 2]]}, "%s": %s}}'
+)
+_K3 = (
+    '{"kind": "hcp", "payload": '
+    '{"graph": {"num_vertices": 3, "edges": [[1, 2], [1, 3], [2, 3]]}}}'
+)
+FAS_2CYCLE = (
+    '{"kind": "feedback_arc_set", "payload": '
+    '{"graph": {"num_vertices": 2, "arcs": [[1, 2], [2, 1]]}, "k": 1}}'
+)
 
 
 @pytest.mark.parametrize("instance, cert_kind, value", [
@@ -282,13 +296,23 @@ _SAT1 = _SAT % (1, 1)
     (_ip01_text(1, 1), "binary", [1.9, 0]),
     (_SAT1, "assignment", ["false"]),
     (_SAT1, "assignment", [0]),
+    (_EDGE % ("clique", "k", 2), "vertex_set", [1.0, 2]),
+    (_K3, "cycle", [1.0, 2, 3]),
+    (_EDGE % ("node_cover", "l", 1), "vertex_set", [1.0]),
+    (_EDGE % ("clique_cover", "l", 1), "clique_partition", [[1.0, 2]]),
+    (_STEINER % 1, "tree", {"edges": [[1, 2]], "root": 1.0}),
+    (_STEINER % 1, "tree", {"edges": [[1.0, 2]], "root": 1}),
+    (FAS_2CYCLE, "arc_set", [[1.0, 2]]),
 ], ids=["binary-float", "binary-str", "binary-float-high", "assignment-str",
-        "assignment-int"])
+        "assignment-int", "clique-float", "hcp-float", "node_cover-float",
+        "clique_cover-float", "steiner-root-float", "steiner-edge-float",
+        "feedback_arc_set-float"])
 def test_verify_refuses_certificate_values_of_another_type(
     tmp_path, capsys, instance, cert_kind, value
 ):
     # a value is not coerced as it loads: [0.7, 1] read as (0, 1) answered
-    # YES, and ["false"] read as (True,)
+    # YES, and ["false"] read as (True,); an index 1.0 was read as 1 and
+    # answered YES, and a float arc raised "list indices must be integers"
     path = _write(tmp_path, "p.json", instance)
     cert = _write(tmp_path, "c.json", json.dumps({"kind": cert_kind, "value": value}))
     code, out, err = run(capsys, "verify", path, "--cert", cert)
@@ -337,12 +361,6 @@ def _lift_manifest(tmp_path, source, names):
     return _write(tmp_path, "chain.json", json.dumps(manifest))
 
 
-FAS_2CYCLE = (
-    '{"kind": "feedback_arc_set", "payload": '
-    '{"graph": {"num_vertices": 2, "arcs": [[1, 2], [2, 1]]}, "k": 1}}'
-)
-
-
 @pytest.mark.parametrize("source, names, cert, message", [
     (FAS_2CYCLE, ("fas_to_fns",), '{"kind": "vertex_set", "value": [99]}',
      "vertex out of range"),
@@ -364,6 +382,26 @@ def test_lift_refuses_certificate_that_does_not_verify(tmp_path, capsys):
     code, out, err = run(capsys, "lift", "--chain", chain, "--cert", cert)
     assert code == 1 and out == ""
     assert "does not verify for the chain's final instance" in err
+
+
+def test_lift_applies_each_step_once(tmp_path, capsys, monkeypatch):
+    source = Problem("sat", CnfFormula(3, ((1, -2), (2, 3))))
+    names = ("sat_to_3sat", "threesat_to_ip")
+    chain = _lift_manifest(tmp_path, source, names)
+    image = apply_chain(chain_from_names(names), source)[-1]
+    cert = _write(tmp_path, "c.json", dumps_certificate(solve(image).certificate))
+    calls = []
+    apply = ReductionSpec.apply
+
+    def counted(spec, problem):
+        calls.append(spec.name)
+        return apply(spec, problem)
+
+    monkeypatch.setattr(ReductionSpec, "apply", counted)
+    code, out, _ = run(capsys, "lift", "--chain", chain, "--cert", cert)
+    assert code == 0
+    assert loads_certificate(out).kind == "assignment"
+    assert calls == list(names)
 
 
 @pytest.mark.parametrize(

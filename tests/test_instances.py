@@ -281,6 +281,29 @@ MALFORMED = [
      "assignment must be boolean"),
     (Problem("threesat", CnfFormula(1, ((1,),))), "assignment", ("false",),
      "assignment must be boolean"),
+    # a number equal to an index in range, but not an int
+    (Problem("clique", _PATH3, 2), "vertex_set", (1.0, 2), "vertex must be an integer"),
+    (Problem("node_cover", _PATH3, 1), "vertex_set", (2.0,), "vertex must be an integer"),
+    (Problem("feedback_node_set", _ARCS3, 1), "vertex_set", (True,),
+     "vertex must be an integer"),
+    (Problem("set_packing", _SETS, 1), "set_indices", (1.0,),
+     "set index must be an integer"),
+    (Problem("hitting_set", _SETS), "element_set", (2.0,), "element must be an integer"),
+    (Problem("three_dim_matching", _TRIPLE), "triple_indices", (1.0,),
+     "triple index must be an integer"),
+    (Problem("knapsack", IntegerList((1, 2), 3)), "item_indices", (1, 2.0),
+     "item index must be an integer"),
+    (Problem("hcp", UGraph(3, ((1, 2), (1, 3), (2, 3)))), "cycle", (1.0, 2, 3),
+     "vertex must be an integer"),
+    (Problem("dhcp", _ARCS3), "cycle", (1, 2, 3.0), "vertex must be an integer"),
+    (Problem("clique_cover", _PATH3, 2), "clique_partition", ((1.0, 2), (3,)),
+     "vertex must be an integer"),
+    (Problem("steiner_tree", _STEINER), "tree",
+     {"edges": ((1, 2), (2, 3)), "root": 1.0}, "vertex must be an integer"),
+    (Problem("steiner_tree", _STEINER), "tree",
+     {"edges": ((1.0, 2), (2, 3)), "root": 1}, "vertex must be an integer"),
+    (Problem("feedback_arc_set", _ARCS3, 1), "arc_set", ((1.0, 2),),
+     "vertex must be an integer"),
 ]
 
 

@@ -1,7 +1,9 @@
 import hashlib
-from itertools import combinations
+import time
+from itertools import chain, combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from karpkit.instances import (
     CnfFormula,
@@ -13,6 +15,7 @@ from karpkit.instances import (
     TripleFamily,
     UGraph,
     verify_certificate,
+    yes_test,
 )
 from karpkit import oracles
 from karpkit.genlab import GeneratorSpec, generate
@@ -119,6 +122,97 @@ def test_explored_counter_monotone():
     p = Problem("partition", IntegerList((1, 2, 3, 4)))
     v = solve(p)
     assert v.explored >= 1
+
+
+# ---------------------------------------------------------------------------
+# the depth-first searches against the enumerators they replaced
+# ---------------------------------------------------------------------------
+
+
+def _record(problem, budget):
+    try:
+        v = solve(problem, budget=budget)
+        return (v.answer, v.certificate and v.certificate.value, v.explored)
+    except BudgetExceededError as exc:
+        return ("refused", str(exc))
+
+
+def _enumerated(problem, budget, space, candidates):
+    """The first candidate, in order, that passes the kind's YES test, and
+    its 1-based rank; or NO and the size of the space."""
+    if space > budget:
+        return ("refused", "%s search space %d exceeds budget %d" % (
+            problem.kind, space, budget))
+    is_yes = yes_test(problem)
+    explored = 0
+    for explored, value in enumerate(candidates, 1):
+        if is_yes(value):
+            return (True, value, explored)
+    return (False, None, explored)
+
+
+def _assignments(problem, budget):
+    n = problem.payload.num_literals
+    return _enumerated(problem, budget, 1 << n, product((False, True), repeat=n))
+
+
+def _subsets_by_size(problem, budget):
+    n = problem.payload.num_vertices
+    vertices = range(1, n + 1)
+    return _enumerated(problem, budget, 1 << n, chain.from_iterable(
+        combinations(vertices, size) for size in range(n + 1)))
+
+
+@st.composite
+def cnf_problems(draw):
+    kind = draw(st.sampled_from(("sat", "threesat")))
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return Problem(kind, CnfFormula(0, ()))
+    literal = st.integers(1, n).flatmap(lambda x: st.sampled_from((x, -x)))
+    width = draw(st.integers(1, 3 if kind == "threesat" else n))
+    m = draw(st.integers(0, 40))  # a drawn count: hypothesis keeps lists short
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=width).map(tuple),
+                            min_size=m, max_size=m))
+    return Problem(kind, CnfFormula(n, tuple(clauses)))
+
+
+@st.composite
+def max_cut_problems(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(combinations(range(1, n + 1), 2))
+    picked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, chosen in zip(pairs, picked) if chosen]
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(edges), max_size=len(edges)))
+    total = sum(weights)
+    # thresholds in the upper half are met, if at all, by larger subsets
+    k = draw(st.integers(0, total + 1) | st.integers(total // 2, total + 1))
+    return Problem("max_cut", UGraph.make(n, edges, weights), k)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(cnf_problems())
+def test_sat_search_matches_the_enumerator(problem):
+    for budget in (DEFAULT_BUDGET, 40):
+        assert _record(problem, budget) == _assignments(problem, budget)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(max_cut_problems())
+def test_max_cut_search_matches_the_enumerator(problem):
+    for budget in (DEFAULT_BUDGET, 40):
+        assert _record(problem, budget) == _subsets_by_size(problem, budget)
+
+
+def test_sat_search_ranks_a_witness_it_never_enumerates():
+    # the witness is the last of 2^40 assignments: enumerating them would
+    # take days, the search visits 80 nodes
+    n = 40
+    problem = Problem("sat", CnfFormula(n, tuple((i,) for i in range(1, n + 1))))
+    start = time.perf_counter()
+    v = solve(problem, budget=1 << n)
+    assert time.perf_counter() - start < 1.0
+    assert (v.answer, v.certificate.value, v.explored) == (True, (True,) * n, 1 << n)
 
 
 # sha256 over repr((answer, witness value, explored)) or ("refused", message)
