@@ -241,8 +241,11 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget refusal: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    # the library's refusals of malformed input, and JSON's, are ValueErrors
-    except (UsageError, KeyError, ValueError, TypeError, OSError) as exc:
+    # the library's refusals of malformed input, and JSON's, are ValueErrors;
+    # a missing key or index, or JSON nested too deep to decode, is malformed
+    # input too, and a traceback would exit 1, which reads as NO
+    except (UsageError, LookupError, ValueError, TypeError, RecursionError,
+            OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,9 +14,9 @@ branch on a kind.
 
 Adding a kind: give it a `KINDS` entry, reusing a carrier or writing one
 with `validate`, `size`, `to_json` and `from_json`; then a generator branch
-and scale knob in `genlab`, an oracle (an `oracles.CANDIDATES` entry or a
-search of its own) and, unless it is a kernel kind, a route in
-`reductions._ROUTES`.
+and scale knob in `genlab`, an oracle (an `oracles.SUBSETS` or
+`oracles.CANDIDATES` entry, or a search of its own) and, unless it is a
+kernel kind, a route in `reductions._ROUTES`.
 """
 
 from __future__ import annotations
@@ -187,6 +187,7 @@ class UGraph:
         d = d["graph"]
         edges, weights = [], []
         for row in d["edges"]:
+            _check(len(row) >= 2, "edge row needs two vertices")
             edges.append((row[0], row[1]))
             if len(row) > 2:
                 weights.append(row[2])
@@ -544,17 +545,27 @@ def _acyclic_without(g):
 # the value is malformed for the instance.
 
 
+def _in_range(values, n, member, message):
+    """Refuse, in sequence order, a value that is not a number ("<member>
+    must be an integer") or a number outside 1..n (`message`), so that a
+    mixed bad value raises the same error under every hash seed.  A number
+    in range that is not an int (1.0, True) passes, and fails the type
+    check after it."""
+    if _ints(values):
+        _cc(all(1 <= x <= n for x in values), message)
+        return
+    for x in values:
+        _cc(isinstance(x, (int, float)), "%s must be an integer" % member)
+        _cc(1 <= x <= n, message)
+
+
 def _members(count, member, duplicate_msg=None):
     """A set-like witness: integer members in 1..count(payload) and, if
     `duplicate_msg` is given, none repeated; `member` names one in the
     messages."""
     def shape(problem, v):
-        # in sequence order, so that a mixed bad value raises the same error
-        # under every hash seed; a number in range that is not an int (1.0,
-        # True) passes the range check and fails the type check after it
         members = tuple(v)
-        n = count(problem.payload)
-        _cc(all(1 <= x <= n for x in members), "%s out of range" % member)
+        _in_range(members, count(problem.payload), member, "%s out of range" % member)
         _cc(_ints(members), "%s must be an integer" % member)
         if duplicate_msg is not None:
             _cc(len(set(members)) == len(members), duplicate_msg)
@@ -567,6 +578,7 @@ def _cycle(minimum):
         order = list(v)
         n = problem.payload.num_vertices
         _cc(len(order) == n, "cycle must visit every vertex exactly once")
+        _in_range(order, n, "vertex", "cycle is not a permutation")
         _cc(sorted(order) == list(range(1, n + 1)), "cycle is not a permutation")
         _cc(_ints(order), "vertex must be an integer")
         _cc(n >= minimum, "cycle too short for this convention")
@@ -597,17 +609,18 @@ def _coloring_shape(problem, v):
 
 def _clique_partition_shape(problem, v):
     flat = [x for b in v for x in b]
-    n = problem.payload.num_vertices
-    _cc(all(1 <= x <= n for x in flat), "vertex out of range")
+    _in_range(flat, problem.payload.num_vertices, "vertex", "vertex out of range")
     _cc(_ints(flat), "vertex must be an integer")
     _cc(len(flat) == len(set(flat)), "cliques overlap")
 
 
 def _tree_shape(problem, v):
+    root, g = v["root"], problem.payload.graph
+    _in_range((root,), g.num_vertices, "vertex", "root out of range")
+    # an edge with a vertex out of range is not in the graph
+    ends = [x for e in v["edges"] for x in e]
+    _in_range(ends, g.num_vertices, "vertex", "certificate edge not in graph")
     edges = [tuple(sorted(e)) for e in v["edges"]]
-    root = v["root"]
-    g = problem.payload.graph
-    _cc(1 <= root <= g.num_vertices, "root out of range")
     stored = set(g.edges)
     _cc(all(e in stored for e in edges), "certificate edge not in graph")
     _cc(_ints(chain([root], *edges)), "vertex must be an integer")

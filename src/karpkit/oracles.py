@@ -2,23 +2,30 @@
 
 An oracle never re-states what a witness is: it tests candidates with
 `instances.yes_test`, the YES test that `verify_certificate` applies after
-its shape check.  Most kinds are one entry in `CANDIDATES`: the size of the
-candidate space and an iterator over it in a fixed lexicographic order.  One
-loop refuses a space larger than the budget, then returns the first
-candidate that passes the YES test; `explored` counts the candidates
-tried: the witness's 1-based rank, or all of them on NO.
+its shape check.  Every oracle answers as an enumeration of its candidates
+in a fixed lexicographic order would: it returns the first candidate that
+passes the YES test, and `explored` counts the candidates that enumeration
+tries, the witness's 1-based rank, or all of them on NO.  A space larger
+than the budget is refused before any search.
 
-Seven kinds keep searches of their own.  sat/threesat and max_cut search
-depth-first in the order their enumeration would take, skip only subtrees
-that hold no YES candidate, and compute `explored` from the witness's rank
-in that order (2^n on NO), so they answer exactly as the enumeration would:
-sat assigns x1, x2, ... False before True and cuts a branch at a falsified
-clause; max_cut walks the subsets of each size lexicographically and cuts
-a branch whose cut-weight bound falls below the threshold.  Both refuse a
-space larger than the budget before they search.  ip01 calls `solve_ip`
-(bound-pruned, guarded by its 2^v space), dhcp/hcp walk vertex orders
+The twelve kinds whose witness is a subset of items share one depth-first
+search, `_first_subset`: clique, set_packing and three_dim_matching (one
+size), node_cover, set_covering, feedback_node_set and feedback_arc_set (up
+to a size), exact_cover, hitting_set, knapsack, partition and max_cut (any
+size).  For each size, smallest first, it places the items in order, picked
+before left out, which is the order of `combinations`; a kind's `SUBSETS`
+entry gives the checks that cut a branch, and each cuts only where no
+subset below passes the YES test.  `explored` is computed from the
+witness's rank, so a witness deep in a large space is ranked without
+enumerating it.  chromatic_number and steiner_tree are one entry each in
+`CANDIDATES`, the space size and an iterator over it, run by one loop.
+
+Six kinds keep searches of their own.  sat/threesat assign x1, x2, ...
+depth-first, False before True, cut a branch at a falsified clause and
+compute `explored` from the witness's rank (2^n on NO); ip01 calls `solve_ip`
+(bound-pruned, guarded by its 2^v space); dhcp/hcp walk vertex orders
 depth-first with adjacency pruning, and clique_cover walks restricted
-growth strings; the last two count visited nodes or leaves against the
+growth strings, and these two count visited nodes or leaves against the
 budget.  Every search uses explicit stacks, not recursion.  Verdicts and
 witnesses are deterministic, and every witness is checked once more by
 `verify_certificate` before it is returned.
@@ -27,9 +34,9 @@ witnesses are deterministic, and every witness is checked once more by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, product
+from itertools import combinations, product
 from math import comb
-from operator import mul, neg
+from operator import add, neg
 from typing import Optional
 
 from .instances import (
@@ -83,28 +90,8 @@ def _yes(problem, value, explored):
     return OracleVerdict(True, cert, explored)
 
 
-def _subsets(items, max_size):
-    """How many subsets of `items` have at most `max_size` members, and
-    those subsets by size, then lexicographically."""
-    n = len(items)
-    sizes = range(min(max_size, n) + 1)
-    space = 1 << n if max_size >= n else sum(comb(n, i) for i in sizes)
-    return space, chain.from_iterable(combinations(items, i) for i in sizes)
-
-
 def _first(n):
     return range(1, n + 1)
-
-
-def _choose(n, k):
-    """How many k-subsets 1..n has, and those subsets lexicographically."""
-    return comb(n, k), combinations(_first(n), k)
-
-
-def _partitions(p, _):
-    space, candidates = _subsets(_first(len(p.values)), len(p.values))
-    # an odd total has no half; the space is still guarded first
-    return space, () if sum(p.values) % 2 else candidates
 
 
 def _trees(g):
@@ -121,21 +108,206 @@ def _trees(g):
 # kind -> (payload, param) -> (size of the candidate space, candidate
 # certificate values in the order they are tried)
 CANDIDATES = {
-    "clique": lambda g, k: _choose(g.num_vertices, k),
-    "set_packing": lambda f, l: _choose(f.num_sets, l),
-    "node_cover": lambda g, l: _subsets(_first(g.num_vertices), l),
-    "set_covering": lambda f, k: _subsets(_first(f.num_sets), k),
-    "feedback_node_set": lambda g, k: _subsets(_first(g.num_vertices), k),
-    "feedback_arc_set": lambda g, k: _subsets(g.arcs, k),
     "chromatic_number": lambda g, k: (
         max(k, 1) ** g.num_vertices, product(_first(k), repeat=g.num_vertices)),
-    "exact_cover": lambda f, _: _subsets(_first(f.num_sets), f.num_sets),
-    "hitting_set": lambda f, _: _subsets(_first(f.universe_size), f.universe_size),
     "steiner_tree": lambda s, _: (
         (1 << len(s.graph.edges)) * max(s.graph.num_vertices, 1), _trees(s.graph)),
-    "three_dim_matching": lambda f, _: _choose(len(f.triples), f.t_size),
-    "knapsack": lambda p, _: _subsets(_first(len(p.values)), len(p.values)),
-    "partition": _partitions,
+}
+
+
+# ---------------------------------------------------------------------------
+# the subset kinds.  Items are numbered 0..n-1 here, and so are the bits of
+# every mask: vertex, element or set v is bit v - 1.  A kind's checks are a
+# first state and two functions, pick and leave, that map the state before
+# item i is placed to the state after it, or to None where no subset below
+# the branch passes the YES test.
+# ---------------------------------------------------------------------------
+
+
+def _keep(state, i):
+    return state
+
+
+def _bits(members):
+    """The mask of distinct members numbered from 1."""
+    return sum(1 << (x - 1) for x in members)
+
+
+def _disjoint(masks):
+    """Picked items whose masks do not meet; the state is their union."""
+    def pick(used, i):
+        return None if used & masks[i] else used | masks[i]
+    return 0, pick, _keep
+
+
+def _earlier(g):
+    """earlier[i]: the mask of the neighbours of item i (vertex i + 1)
+    that come before it."""
+    earlier = [0] * g.num_vertices
+    for u, v in g.edges:  # stored with u < v
+        earlier[v - 1] |= 1 << (u - 1)
+    return earlier
+
+
+def _clique(g):
+    """Each vertex picked is adjacent to every one picked before it; the
+    state is the picked mask."""
+    earlier = _earlier(g)
+    def pick(picked, i):
+        return picked | 1 << i if earlier[i] & picked == picked else None
+    return 0, pick, _keep
+
+
+def _node_cover(g):
+    """A vertex left out needs its earlier neighbours picked; the state is
+    the picked mask."""
+    earlier = _earlier(g)
+    def leave(picked, i):
+        return picked if earlier[i] & picked == earlier[i] else None
+    return 0, lambda picked, i: picked | 1 << i, leave
+
+
+def _covers(f, disjoint):
+    """Sets that cover their union, each element once if `disjoint`: a set
+    is left out only if every element whose last set it is is covered
+    already.  The state is the covered mask."""
+    sets = [_bits(s) for s in f.sets]
+    last = {x: i for i, s in enumerate(f.sets) for x in s}
+    due = [0] * len(sets)  # due[i]: the elements whose last set is i
+    for x, i in last.items():
+        due[i] |= 1 << (x - 1)
+    def pick(covered, i):
+        return None if disjoint and covered & sets[i] else covered | sets[i]
+    def leave(covered, i):
+        return covered if due[i] & covered == due[i] else None
+    return 0, pick, leave
+
+
+def _hits(f):
+    """Elements that hit no set twice; an element is left out only if every
+    set whose largest element it is has been hit.  The state is the mask of
+    the sets hit."""
+    holders = [0] * f.universe_size  # holders[e]: the sets holding element e + 1
+    due = [0] * f.universe_size  # due[e]: the sets whose largest element is e + 1
+    for j, s in enumerate(f.sets):
+        for x in s:
+            holders[x - 1] |= 1 << j
+        if s:
+            due[max(s) - 1] |= 1 << j
+    def pick(hit, e):
+        return None if hit & holders[e] else hit | holders[e]
+    def leave(hit, e):
+        return hit if due[e] & hit == due[e] else None
+    return 0, pick, leave
+
+
+def _acyclic_nodes(g):
+    """The vertices left out stay acyclic; the state is their mask."""
+    succ = [0] * g.num_vertices
+    for u, v in g.arcs:
+        succ[u - 1] |= 1 << (v - 1)
+    def leave(kept, i):
+        kept |= 1 << i
+        # walk forward from i through the kept vertices; reaching i is a cycle
+        seen = frontier = succ[i] & kept
+        while frontier:
+            if frontier >> i & 1:
+                return None
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= succ[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & kept & ~seen
+            seen |= frontier
+        return kept
+    return 0, _keep, leave
+
+
+def _acyclic_arcs(g):
+    """The arcs left out stay acyclic.  The state is their reachability
+    matrix in one integer: bit n*x + y is set when x reaches y along them,
+    and every vertex reaches itself."""
+    n = g.num_vertices
+    column = sum(1 << n * x for x in range(n))  # bit 0 of every row
+    row = (1 << n) - 1
+    arcs = [(u - 1, v - 1) for u, v in g.arcs]
+    def leave(reach, i):
+        u, v = arcs[i]
+        if reach >> n * v + u & 1:  # v reaches u: u -> v would close a cycle
+            return None
+        # whatever reaches u now reaches whatever v reaches
+        return reach | (reach >> u & column) * (reach >> n * v & row)
+    return sum(1 << (n + 1) * x for x in range(n)), _keep, leave
+
+
+def _sum_to(values, target):
+    """The picked sum stays at or below the target, and that sum plus every
+    value not yet placed still reaches it; the state is the picked sum."""
+    after = [0] * len(values)  # after[i]: the sum of the values beyond item i
+    for i in range(len(values) - 1, 0, -1):
+        after[i - 1] = after[i] + values[i]
+    def pick(total, i):
+        total += values[i]
+        return total if total <= target else None
+    def leave(total, i):
+        return total if total + after[i] >= target else None
+    return 0, pick, leave
+
+
+def _half(p):
+    total = sum(p.values)
+    # an odd total has no half: no candidate, after the space is guarded
+    return None if total % 2 else _sum_to(p.values, total // 2)
+
+
+def _cut_reaches(g, k):
+    """The cut weight among the placed vertices, plus the weight of every
+    edge with an end not yet placed, stays at least k.  The state is the
+    weight from each vertex to the picked ones, and that cut weight."""
+    n = g.num_vertices
+    row = [[0] * n for _ in range(n)]  # row[i][u]: the weight of the edge i - u
+    earlier = [0] * n  # the weight of the edges from each vertex to earlier ones
+    rest = [0] * n  # rest[i]: the weight of the edges with an end beyond i
+    for (u, v), w in zip(g.edges, g.weights):
+        row[u - 1][v - 1] = row[v - 1][u - 1] = w
+        earlier[v - 1] += w
+        rest[v - 2] += w  # v > 1: edges are stored as (u, v) with u < v
+    for i in range(n - 2, -1, -1):
+        rest[i] += rest[i + 1]
+    def pick(state, i):
+        to_picked, cut = state
+        cut += earlier[i] - to_picked[i]
+        if cut + rest[i] < k:
+            return None
+        return tuple(map(add, to_picked, row[i])), cut
+    def leave(state, i):
+        to_picked, cut = state
+        cut += to_picked[i]
+        return (to_picked, cut) if cut + rest[i] >= k else None
+    return ((0,) * n, 0), pick, leave
+
+
+# kind -> (payload, param) -> (the items' certificate members in order, the
+# smallest and the largest subset size, and the checks; None if no subset
+# is a candidate)
+SUBSETS = {
+    "clique": lambda g, k: (_first(g.num_vertices), k, k, _clique(g)),
+    "set_packing": lambda f, l: (
+        _first(f.num_sets), l, l, _disjoint([_bits(s) for s in f.sets])),
+    "node_cover": lambda g, l: (_first(g.num_vertices), 0, l, _node_cover(g)),
+    "set_covering": lambda f, k: (_first(f.num_sets), 0, k, _covers(f, False)),
+    "feedback_node_set": lambda g, k: (_first(g.num_vertices), 0, k, _acyclic_nodes(g)),
+    "feedback_arc_set": lambda g, k: (g.arcs, 0, k, _acyclic_arcs(g)),
+    "exact_cover": lambda f, _: (_first(f.num_sets), 0, f.num_sets, _covers(f, True)),
+    "hitting_set": lambda f, _: (_first(f.universe_size), 0, f.universe_size, _hits(f)),
+    "three_dim_matching": lambda f, _: (
+        _first(len(f.triples)), f.t_size, f.t_size,
+        _disjoint([_bits((a, f.t_size + b, 2 * f.t_size + c)) for a, b, c in f.triples])),
+    "knapsack": lambda p, _: (
+        _first(len(p.values)), 0, len(p.values), _sum_to(p.values, p.target)),
+    "partition": lambda p, _: (_first(len(p.values)), 0, len(p.values), _half(p)),
+    "max_cut": lambda g, k: (_first(g.num_vertices), 0, g.num_vertices, _cut_reaches(g, k)),
 }
 
 
@@ -147,14 +319,15 @@ def solve(problem, budget=DEFAULT_BUDGET):
     p = problem.payload
     if kind in CANDIDATES:
         space, candidates = CANDIDATES[kind](p, problem.param)
-        if space:  # an empty space (l > s, t > |U|) is a NO under any budget
-            _guard(space, budget, kind)
+        _guard(space, budget, kind)
         is_yes = yes_test(problem)
         explored = 0
         for explored, value in enumerate(candidates, 1):
             if is_yes(value):
                 return _yes(problem, value, explored)
         return OracleVerdict(False, None, explored)
+    if kind in SUBSETS:
+        return _solve_subsets(problem, budget)
     if kind == "ip01":
         _guard(1 << p.num_variables, budget, kind)
         solution = solve_ip(p, var_cap=p.num_variables)
@@ -164,8 +337,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
         return _yes(problem, solution, explored)
     if kind in ("sat", "threesat"):
         return _solve_sat(problem, budget)
-    if kind == "max_cut":
-        return _solve_max_cut(problem, budget)
     if kind in ("dhcp", "hcp"):
         return _solve_hamiltonian(problem, budget)
     if kind == "clique_cover":
@@ -208,92 +379,72 @@ def _solve_sat(problem, budget):
     return _yes(problem, tuple(lit > 0 for lit in path), rank + 1)
 
 
-def _solve_max_cut(problem, budget):
-    """For each size s = 0, 1, ..., n, the s-subsets of the vertices in
-    lexicographic order, the order of `_subsets`: vertices 1..n are placed
-    depth-first, picked before left out, and a branch that has picked s
-    vertices is a leaf (the rest are left out).  A branch ends when its
-    bound falls below the threshold: the cut weight among the placed
-    vertices plus the weight of every edge with an unplaced end.
-    `explored` is the witness's rank: the smaller subsets, then its
-    lexicographic rank among its size."""
-    g, k = problem.payload, problem.param
-    n = g.num_vertices
-    _guard(1 << n, budget, "max_cut")
-    if k == 0:  # the empty set comes first, and its cut of 0 meets k
-        return _yes(problem, (), 1)
-    total = sum(g.weights)
-    if total < k:
-        return OracleVerdict(False, None, 1 << n)
-    # ends[v], weights[v]: v's neighbours u < v and the weights of those edges
-    ends, weights = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
-    degree = [0] * (n + 1)  # the weight of the edges at each vertex
-    for (u, v), w in zip(g.edges, g.weights):
-        ends[v].append(u)
-        weights[v].append(w)
-        degree[u] += w
-        degree[v] += w
-    # rest[v]: the weight of the edges with an end beyond v
-    rest = [total]
-    for v in _first(n):
-        rest.append(rest[-1] - sum(weights[v]))
-    picked = _first_cut(n, k, ends, weights, degree, rest)
-    if picked is None:
-        return OracleVerdict(False, None, 1 << n)
-    return _yes(problem, picked, _subset_rank(n, picked) + 1)
+def _solve_subsets(problem, budget):
+    """For each allowed size s, the s-subsets of the items in lexicographic
+    order, the order of `combinations`; the first that passes the YES test
+    is the witness, and its rank among the space's candidates gives
+    `explored`."""
+    members, lo, hi, checks = SUBSETS[problem.kind](problem.payload, problem.param)
+    n = len(members)
+    sizes = range(lo, min(hi, n) + 1)
+    space = 1 << n if lo == 0 and hi >= n else sum(comb(n, s) for s in sizes)
+    if not space:  # an empty space (l > s, t > |U|) is a NO under any budget
+        return OracleVerdict(False, None, 0)
+    _guard(space, budget, problem.kind)
+    if checks is None:
+        return OracleVerdict(False, None, 0)
+    is_yes, member = yes_test(problem), members.__getitem__
+    path = _first_subset(n, sizes, *checks, lambda path: is_yes(tuple(map(member, path))))
+    if path is None:
+        return OracleVerdict(False, None, space)
+    smaller = sum(comb(n, s) for s in range(lo, len(path)))
+    return _yes(problem, tuple(map(member, path)), smaller + _lex_rank(n, path) + 1)
 
 
-def _first_cut(n, k, ends, weights, degree, rest):
-    """The first nonempty subset of 1..n, by size and then
-    lexicographically, whose cut weighs at least k, or None.  The search
-    reads an entry of the arrays below only for vertices placed on its
-    current branch, so they serve every size without being cleared."""
-    side = [0] * (n + 1)  # side[v]: 1 if vertex v is picked
-    to_picked = [0] * (n + 1)  # the weight from v to the picked vertices before it
-    cut = [0] * (n + 1)  # cut[v]: the cut weight among vertices 1..v
-    picked_cut = [0] * (n + 1)  # the weight of the edges leaving the picked ones of 1..v
-    for s in _first(n):
-        v, picked = 1, 0
-        while v:
-            t = to_picked[v] = sum(map(mul, weights[v], map(side.__getitem__, ends[v])))
-            side[v] = 1
-            picked += 1
-            picked_cut[v] = picked_cut[v - 1] + degree[v] - 2 * t
-            if picked == s:
-                if picked_cut[v] >= k:
-                    return tuple(compress(range(v + 1), side))
-            else:
-                cut[v] = cut[v - 1] + rest[v - 1] - rest[v] - t
-                if cut[v] + rest[v] >= k:
-                    v += 1
+def _first_subset(n, sizes, start, pick, leave, accept):
+    """The first subset of the items 0..n-1, by size and then
+    lexicographically, that `accept` takes, as a list, or None.  For each
+    size s, items are placed depth-first, picked before left out; once s
+    are picked, the rest are left out, and a branch that has placed every
+    item is a leaf.  `pick` and `leave` map the state before an item is
+    placed to the state after it, or to None to cut the branch."""
+    for s in sizes:
+        path, before = [], []  # before[j]: the state in which path[j] was picked
+        i, state, need = 0, start, s  # need: the items still to pick
+        while i >= 0:
+            if i == n:  # a leaf
+                if accept(path):
+                    return path
+            elif need:
+                new = pick(state, i)
+                if new is not None:
+                    path.append(i)
+                    before.append(state)
+                    i, state, need = i + 1, new, need - 1
                     continue
-            # leave v out; failing that, go back to the last vertex picked
-            # before it and leave that one out instead (none left: v is 0)
-            while v:
-                side[v] = 0
-                picked -= 1
-                cut[v] = cut[v - 1] + to_picked[v]
-                # s - picked vertices are still to pick, after v
-                if n - v >= s - picked and cut[v] + rest[v] >= k:
-                    picked_cut[v] = picked_cut[v - 1]
-                    v += 1
+            # leave i out; failing that, go back to the last item picked and
+            # leave that one out instead (none left: i is -1)
+            while True:
+                if n - i > need:  # the items after i can still fill s (not at a leaf)
+                    new = leave(state, i)
+                    if new is not None:
+                        i, state = i + 1, new
+                        break
+                if not path:
+                    i = -1
                     break
-                v -= 1
-                while v and not side[v]:
-                    v -= 1
+                i, state, need = path.pop(), before.pop(), need + 1
     return None
 
 
-def _subset_rank(n, subset):
-    """The 0-based rank of an increasing tuple among the subsets of 1..n
-    in the order of `_subsets`: all smaller subsets, then, for each member,
-    the subsets of its size that agree before it and have a smaller member
-    in its place."""
-    s, previous = len(subset), 0
-    rank = sum(comb(n, j) for j in range(s))
-    for i, x in enumerate(subset):
-        rank += comb(n - previous, s - i) - comb(n - x + 1, s - i)
-        previous = x
+def _lex_rank(n, subset):
+    """The 0-based rank of an increasing list of items 0..n-1 among the
+    subsets of its size in lexicographic order: for each member, the
+    subsets that agree before it and have a smaller member in its place."""
+    s, rank, free = len(subset), 0, n  # free: the items after the previous member
+    for j, x in enumerate(subset):
+        rank += comb(free, s - j) - comb(n - x, s - j)
+        free = n - x - 1
     return rank
 
 
@@ -318,21 +469,21 @@ def _solve_hamiltonian(problem, budget):
         succ = {v: sorted(ws) for v, ws in succ.items()}
         closing = set(succ[1])
 
-    path, used = [1], {1}
+    path, used = [1], [False, True] + [False] * (n - 1)  # used[v]: v is on the path
     untried = [iter(succ[1])]  # untried[d]: successors of path[d] left to try
     explored = 1
     if explored > budget:
         raise _exceeded(problem.kind, budget)
     while untried:
         for w in untried[-1]:
-            if w not in used:
+            if not used[w]:
                 break
         else:
             untried.pop()
-            used.discard(path.pop())
+            used[path.pop()] = False
             continue
         path.append(w)
-        used.add(w)
+        used[w] = True
         explored += 1
         if explored > budget:
             raise _exceeded(problem.kind, budget)
@@ -341,7 +492,7 @@ def _solve_hamiltonian(problem, budget):
         elif w in closing:
             return _yes(problem, tuple(path), explored)
         else:
-            used.discard(path.pop())
+            used[path.pop()] = False
     return OracleVerdict(False, None, explored)
 
 

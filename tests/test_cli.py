@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import karpkit
 from karpkit.cli import main
 from karpkit.genlab import GeneratorSpec, generate
 from karpkit.instances import CnfFormula, Problem, UGraph
@@ -415,3 +419,66 @@ def test_edgelist_refuses_kinds_that_are_not_graphs(tmp_path, capsys, kind):
     )
     assert code == 2 and out == ""
     assert err == "error: edge lists hold graph kinds only, not %s\n" % kind
+
+
+_SHORT_ROW = '{"graph": {"num_vertices": 3, "edges": [%s, [2]]}'
+_SHORT_ROWS = {
+    "clique": '{"kind": "clique", "payload": %s, "k": 2}}' % (_SHORT_ROW % "[1, 2]"),
+    "hcp": '{"kind": "hcp", "payload": %s}}' % (_SHORT_ROW % "[1, 2]"),
+    "max_cut": '{"kind": "max_cut", "payload": %s, "W": 1}}' % (_SHORT_ROW % "[1, 2, 1]"),
+    "steiner_tree": '{"kind": "steiner_tree", "payload": %s, "terminals": [1], "k": 1}}'
+    % (_SHORT_ROW % "[1, 2, 1]"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "measure", "verify"])
+@pytest.mark.parametrize("kind", sorted(_SHORT_ROWS))
+def test_short_edge_row_is_a_usage_error(tmp_path, capsys, kind, command):
+    # its IndexError used to escape the CLI, and exit 1 reads as NO
+    path = _write(tmp_path, "p.json", _SHORT_ROWS[kind])
+    extra = ("--cert", _write(tmp_path, "c.json", '{"kind": "x", "value": []}'))
+    code, out, err = run(capsys, command, path, *(extra if command == "verify" else ()))
+    assert code == 2 and out == ""
+    assert err == "error: edge row needs two vertices\n"
+
+
+def test_json_nested_too_deep_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+    code, out, err = run(capsys, "solve", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error: maximum recursion depth") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("instance, cert_kind, value", [
+    (_EDGE % ("clique", "k", 2), "vertex_set", ["x", 2]),
+    (_EDGE % ("clique", "k", 2), "vertex_set", [[1], 2]),
+    (_K3, "cycle", ["x", 2, 3]),
+    (_EDGE % ("clique_cover", "l", 1), "clique_partition", [["x", 2]]),
+    (_STEINER % 1, "tree", {"edges": [[1, 2]], "root": "x"}),
+], ids=["clique-str", "clique-list", "hcp-str", "clique_cover-str", "steiner-root-str"])
+def test_verify_names_a_member_that_is_not_a_number(
+    tmp_path, capsys, instance, cert_kind, value
+):
+    # these compared a string or a list with an int, and printed Python's
+    # own TypeError text
+    path = _write(tmp_path, "p.json", instance)
+    cert = _write(tmp_path, "c.json", json.dumps({"kind": cert_kind, "value": value}))
+    code, out, err = run(capsys, "verify", path, "--cert", cert)
+    assert code == 2 and out == ""
+    assert err == "error: vertex must be an integer\n"
+
+
+@pytest.mark.parametrize("text, code, verdict", [
+    (_PARTITION % (1, 1), 0, "YES\n"),
+    (_PARTITION % (1, 2), 1, "NO\n"),
+    (_SHORT_ROWS["hcp"], 2, ""),
+], ids=["yes", "no", "malformed"])
+def test_python_dash_m_karpkit_solves(text, code, verdict):
+    src = os.path.dirname(os.path.dirname(karpkit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "karpkit", "solve", "-"], input=text,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (code, verdict)
+    if code == 2:
+        assert done.stderr == "error: edge row needs two vertices\n"

@@ -304,6 +304,18 @@ MALFORMED = [
      {"edges": ((1.0, 2), (2, 3)), "root": 1}, "vertex must be an integer"),
     (Problem("feedback_arc_set", _ARCS3, 1), "arc_set", ((1.0, 2),),
      "vertex must be an integer"),
+    # a member that is not a number, refused before anything compares it
+    (Problem("clique", _PATH3, 2), "vertex_set", ("x", 2), "vertex must be an integer"),
+    (Problem("clique", _PATH3, 2), "vertex_set", ((1,), 2), "vertex must be an integer"),
+    (Problem("clique", _PATH3, 2), "vertex_set", (1, "x"), "vertex must be an integer"),
+    (Problem("hcp", UGraph(3, ((1, 2), (1, 3), (2, 3)))), "cycle", ("x", 2, 3),
+     "vertex must be an integer"),
+    (Problem("clique_cover", _PATH3, 2), "clique_partition", (("x", 2), (3,)),
+     "vertex must be an integer"),
+    (Problem("steiner_tree", _STEINER), "tree", {"edges": (), "root": "x"},
+     "vertex must be an integer"),
+    (Problem("steiner_tree", _STEINER), "tree", {"edges": (("x", 2),), "root": 1},
+     "vertex must be an integer"),
 ]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import time
 from itertools import chain, combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,11 +157,36 @@ def _assignments(problem, budget):
     return _enumerated(problem, budget, 1 << n, product((False, True), repeat=n))
 
 
+def _upto(n):
+    return range(1, n + 1)
+
+
+# kind -> (payload, param) -> (the items, in order, and the subset sizes)
+_SUBSETS = {
+    "clique": lambda g, k: (_upto(g.num_vertices), [k]),
+    "set_packing": lambda f, l: (_upto(f.num_sets), [l]),
+    "three_dim_matching": lambda f, _: (_upto(len(f.triples)), [f.t_size]),
+    "node_cover": lambda g, l: (_upto(g.num_vertices), range(l + 1)),
+    "set_covering": lambda f, k: (_upto(f.num_sets), range(k + 1)),
+    "feedback_node_set": lambda g, k: (_upto(g.num_vertices), range(k + 1)),
+    "feedback_arc_set": lambda g, k: (g.arcs, range(k + 1)),
+    "exact_cover": lambda f, _: (_upto(f.num_sets), range(f.num_sets + 1)),
+    "hitting_set": lambda f, _: (_upto(f.universe_size), range(f.universe_size + 1)),
+    "knapsack": lambda p, _: (_upto(len(p.values)), range(len(p.values) + 1)),
+    "partition": lambda p, _: (_upto(len(p.values)), range(len(p.values) + 1)),
+    "max_cut": lambda g, _: (_upto(g.num_vertices), range(g.num_vertices + 1)),
+}
+
+
 def _subsets_by_size(problem, budget):
-    n = problem.payload.num_vertices
-    vertices = range(1, n + 1)
-    return _enumerated(problem, budget, 1 << n, chain.from_iterable(
-        combinations(vertices, size) for size in range(n + 1)))
+    """The subsets of each size, in `combinations` order; an odd partition
+    has no candidate once its space is guarded."""
+    items, sizes = _SUBSETS[problem.kind](problem.payload, problem.param)
+    space = sum(comb(len(items), s) for s in sizes)
+    candidates = chain.from_iterable(combinations(items, s) for s in sizes)
+    if problem.kind == "partition" and sum(problem.payload.values) % 2:
+        candidates = ()
+    return _enumerated(problem, budget, space, candidates)
 
 
 @st.composite
@@ -202,6 +228,84 @@ def test_sat_search_matches_the_enumerator(problem):
 def test_max_cut_search_matches_the_enumerator(problem):
     for budget in (DEFAULT_BUDGET, 40):
         assert _record(problem, budget) == _subsets_by_size(problem, budget)
+
+
+def _edges(draw, n):
+    pairs = list(combinations(range(1, n + 1), 2))
+    picked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return [pair for pair, chosen in zip(pairs, picked) if chosen]
+
+
+def _subsets_of(draw, n, count):
+    """`count` subsets of 1..n, each as an increasing tuple, possibly empty."""
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    return tuple(tuple(x for x in range(1, n + 1) if mask >> (x - 1) & 1) for mask in masks)
+
+
+@st.composite
+def subset_problems(draw, kind):
+    if kind in ("clique", "node_cover"):
+        n = draw(st.integers(0, 10))
+        return Problem(kind, UGraph.make(n, _edges(draw, n)), draw(st.integers(0, n)))
+    if kind in ("set_packing", "set_covering", "exact_cover", "hitting_set"):
+        u, m = draw(st.integers(0, 8)), draw(st.integers(0, 9))
+        family = SetFamily(u, _subsets_of(draw, u, m))
+        if kind == "set_packing":  # l = m + 1 leaves no candidate
+            return Problem(kind, family, draw(st.integers(0, m + 1)))
+        if kind == "set_covering":
+            return Problem(kind, family, draw(st.integers(0, m)))
+        return Problem(kind, family)
+    if kind in ("feedback_node_set", "feedback_arc_set"):
+        n = draw(st.integers(0, 6))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        # arcs in drawn order, self-loops too; at most 12, so 2^12 candidates
+        arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if n else []
+        top = n if kind == "feedback_node_set" else len(arcs)
+        return Problem(kind, DiGraph(n, tuple(arcs)), draw(st.integers(0, top + 1)))
+    if kind == "three_dim_matching":
+        t = draw(st.integers(0, 3))
+        coordinate = st.integers(1, max(t, 1))
+        triples = draw(st.lists(st.tuples(coordinate, coordinate, coordinate),
+                                unique=True, max_size=10)) if t else []
+        return Problem(kind, TripleFamily(t, tuple(triples)))
+    values = tuple(draw(st.lists(st.integers(1, 30), max_size=10)))
+    if kind == "knapsack":
+        return Problem(kind, IntegerList(values, draw(st.integers(0, sum(values) + 1))))
+    return Problem(kind, IntegerList(values))
+
+
+@pytest.mark.parametrize("kind", sorted(set(_SUBSETS) - {"max_cut"}))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subset_search_matches_the_enumerator(kind, data):
+    problem = data.draw(subset_problems(kind))
+    for budget in (DEFAULT_BUDGET, 40):
+        assert _record(problem, budget) == _subsets_by_size(problem, budget)
+
+
+def test_choose_rank_of_a_witness_last_in_its_size():
+    # 4-5 is the last of the C(5, 2) = 10 pairs
+    v = solve(Problem("clique", UGraph(5, ((4, 5),)), 2))
+    assert (v.answer, v.certificate.value, v.explored) == (True, (4, 5), 10)
+    # the first triple meets the other two: the last of C(3, 2) = 3 pairs
+    triples = TripleFamily(2, ((1, 1, 1), (1, 2, 2), (2, 1, 1)))
+    v = solve(Problem("three_dim_matching", triples))
+    assert (v.answer, v.certificate.value, v.explored) == (True, (2, 3), 3)
+    # the subset kinds count every smaller size: 1 empty set, then 5 singletons
+    star = UGraph(5, ((1, 5), (2, 5), (3, 5), (4, 5)))
+    v = solve(Problem("node_cover", star, 1))
+    assert (v.answer, v.certificate.value, v.explored) == (True, (5,), 6)
+
+
+def test_choose_search_ranks_a_witness_it_never_enumerates():
+    # 21..40 is the one 20-clique and the last of C(40, 20) ~ 1.4e11 subsets
+    n, k = 40, 20
+    edges = tuple(combinations(range(k + 1, n + 1), 2))
+    start = time.perf_counter()
+    v = solve(Problem("clique", UGraph(n, edges), k), budget=comb(n, k))
+    assert time.perf_counter() - start < 1.0
+    assert (v.answer, v.certificate.value, v.explored) == (
+        True, tuple(range(k + 1, n + 1)), comb(n, k))
 
 
 def test_sat_search_ranks_a_witness_it_never_enumerates():
