@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from karpkit.genlab import GeneratorSpec
 from karpkit.growth import audit
+from karpkit.reductions import REDUCTIONS
 
 SCALES = (4, 8, 16, 32, 64)
 
@@ -72,3 +74,38 @@ def test_audit_deterministic():
     a = audit("max_cut_to_ip", family, SCALES)
     b = audit("max_cut_to_ip", family, SCALES)
     assert a == b and a.passed
+
+
+# criterion 6's families: seed 23, instances kept inside the oracle budget,
+# and a wider scale range where the element size carries a +1 offset
+_CRITERION_6_PARAMS = {
+    "sat": {"clauses": 5, "literals": 6},
+    "threesat": {"clauses": 5, "literals": 5},
+    "steiner_tree": {"generous_budget": True},
+    "feedback_arc_set": {"vertices": 4},
+}
+_WIDE = ("knapsack", "partition", "three_dim_matching", "sat")
+
+
+def _criterion_6_audits():
+    for rid, spec in REDUCTIONS.items():
+        kind = spec.source_kind
+        if kind == "chromatic_number":
+            families = [{"density": 0.1}, {"density": 1.0}]
+        else:
+            families = [_CRITERION_6_PARAMS.get(kind, {})]
+        scales = (3, 8, 16, 32, 64) if kind in _WIDE else SCALES
+        for params in families:
+            yield audit(rid, GeneratorSpec(kind, 23, params), scales)
+
+
+# sha256 over dumps() + table() of every _criterion_6_audits() report
+CRITERION_6_GOLDEN = (
+    "96d3ec6ed724f1e4805da073d2f2f71f174a4fb96329b233eb3dccc1269c8f40")
+
+
+def test_criterion_6_reports_golden():
+    h = hashlib.sha256()
+    for report in _criterion_6_audits():
+        h.update((report.dumps() + report.table()).encode())
+    assert h.hexdigest() == CRITERION_6_GOLDEN

@@ -422,3 +422,30 @@ def _golden_digest(kind, budget):
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_golden_verdicts_witnesses_and_explored(kind):
     assert (_golden_digest(kind, DEFAULT_BUDGET), _golden_digest(kind, 40)) == GOLDEN[kind]
+
+
+# ---------------------------------------------------------------------------
+# the Hamiltonian and clique-cover searches at their edges: too few vertices,
+# no block allowed, and each budget refusal
+# ---------------------------------------------------------------------------
+
+
+_K6_ARCS = tuple((i, j) for i in range(1, 7) for j in range(1, 7) if i != j)
+_PATH6_CHORD = tuple((i, i + 1) for i in range(1, 6)) + ((1, 3),)
+
+
+@pytest.mark.parametrize("problem, budget, record", [
+    (Problem("hcp", UGraph(2, ((1, 2),))), DEFAULT_BUDGET, (False, None, 0)),
+    (Problem("dhcp", DiGraph(1, ())), DEFAULT_BUDGET, (False, None, 0)),
+    (Problem("dhcp", DiGraph(6, _K6_ARCS)), 0,
+     ("refused", "dhcp search exceeded budget 0")),
+    (Problem("hcp", UGraph(6, _PATH6_CHORD)), 8,
+     ("refused", "hcp search exceeded budget 8")),
+    (Problem("clique_cover", UGraph(0, ()), 0), DEFAULT_BUDGET, (True, (), 1)),
+    (Problem("clique_cover", UGraph(3, ((1, 2),)), 0), DEFAULT_BUDGET, (False, None, 0)),
+    (Problem("clique_cover", UGraph(6, ()), 3), 5,
+     ("refused", "clique_cover search exceeded budget 5")),
+], ids=["hcp-2", "dhcp-1", "dhcp-K6-budget", "hcp-chord-budget", "clique_cover-empty",
+        "clique_cover-l0", "clique_cover-budget"])
+def test_hamiltonian_and_clique_cover_edges(problem, budget, record):
+    assert _record(problem, budget) == record

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 from itertools import product
 
 import numpy as np
@@ -33,6 +35,7 @@ from karpkit.reductions import (
     reduce_chromatic_to_clique_cover,
     route_to_kernel,
 )
+from karpkit.serialize import dumps_problem, loads_problem
 
 R = REDUCTIONS
 
@@ -413,6 +416,39 @@ def test_chromatic_compressed_matches_dense_answers():
     assert solve(dense).answer == solve(compressed).answer == solve(p).answer
     # compressed payload stays at the source's size
     assert measure_input_size(compressed, "element") == measure_input_size(p, "element")
+
+
+def _chromatic_images():
+    """The dense and compressed images of chromatic_number seeds 0..49, from
+    the default family (5 vertices, density 0.5) and at 8 vertices, density
+    0.2."""
+    for seed in range(50):
+        for params in ({}, {"vertices": 8, "density": 0.2}):
+            p = generate(GeneratorSpec("chromatic_number", seed, params))
+            yield (R["chromatic_to_clique_cover"].apply(p),
+                   R["chromatic_to_clique_cover_compressed"].apply(p))
+
+
+# sha256 over the dumps_problem bytes of every _chromatic_images() pair
+CHROMATIC_IMAGES_GOLDEN = (
+    "b49e8fadf9f0819eb447b71af09d90a8210f20eefc6c3c0a090522de0feaca80")
+
+
+def test_chromatic_images_golden():
+    # chromatic_number is a kernel kind, so no routed stage reaches these
+    h = hashlib.sha256()
+    for pair in _chromatic_images():
+        for image in pair:
+            h.update(dumps_problem(image).encode())
+    assert h.hexdigest() == CHROMATIC_IMAGES_GOLDEN
+
+
+def test_compressed_chromatic_image_round_trips():
+    for dense, compressed in _chromatic_images():
+        text = dumps_problem(compressed)
+        assert json.loads(text)["payload"]["graph"]["complement"] is True
+        assert loads_problem(text) == compressed
+        assert set(compressed.payload.effective_edges()) == set(dense.payload.edges)
 
 
 # ---------------------------------------------------------------------------
