@@ -17,6 +17,16 @@ from typing import Optional
 EQ, LE, GE = "=", "<=", ">="
 
 
+def is_int(x):
+    """An integer, and not a bool (JSON true must not count as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def nbits(v):
+    """Binary encoding length of an integer: ceil(log2(|v|+1)) + 1."""
+    return abs(v).bit_length() + 1
+
+
 class ContractError(ValueError):
     """An operation precondition was violated (e.g. missing slack_bound)."""
 
@@ -64,8 +74,6 @@ class BinaryProgram:
         return len(self.variables)
 
     def validate(self):
-        from .instances import is_int
-
         origins = [t.origin for t in self.variables]
         if len(set(origins)) != len(origins):
             raise ContractError("variable origin tags must be unique")
@@ -99,8 +107,6 @@ class BinaryProgram:
     def size(self, mode="element"):
         """Element mode: nonzero count + RHS entry count; bits mode: encoding
         lengths of all coefficients and RHS values."""
-        from .instances import nbits
-
         if mode == "element":
             return sum(len(r.terms) for r in self.rows) + len(self.rows)
         return sum(nbits(c) for r in self.rows for _, c in r.terms) + sum(

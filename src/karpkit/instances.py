@@ -26,7 +26,7 @@ from itertools import chain, combinations
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .binprog import BinaryProgram
+from .binprog import BinaryProgram, is_int, nbits
 
 
 class UnsupportedKindError(ValueError):
@@ -46,16 +46,6 @@ def _check(cond, msg):
         raise InvalidInstanceError(msg)
 
 
-def nbits(v):
-    """Binary encoding length of an integer: ceil(log2(|v|+1)) + 1."""
-    return abs(v).bit_length() + 1
-
-
-def is_int(x):
-    """An integer, and not a bool (JSON true must not count as 1)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _ints(values):
     """Every value an int, and none a bool or a float.  The set of their
     types is built in C: this runs on every vertex, element and index."""
@@ -64,6 +54,12 @@ def _ints(values):
 
 def _integers(values, msg):
     _check(_ints(values), msg)
+
+
+def _count(n, what):
+    """A count or size: an integer, and not negative."""
+    _check(is_int(n), "%s must be an integer" % what)
+    _check(n >= 0, "negative %s" % what)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +78,7 @@ class CnfFormula:
 
     def validate(self):
         n = self.num_literals
-        _check(is_int(n), "literal count must be an integer")
-        _check(n >= 0, "negative literal count")
+        _count(n, "literal count")
         _integers(chain.from_iterable(self.clauses), "literals must be integers")
         for c in self.clauses:
             _check(len(c) >= 1, "empty clause")
@@ -144,8 +139,7 @@ class UGraph:
 
     def validate(self):
         n = self.num_vertices
-        _check(is_int(n), "vertex count must be an integer")
-        _check(n >= 0, "negative vertex count")
+        _count(n, "vertex count")
         _integers(chain.from_iterable(self.edges), "vertex numbers must be integers")
         seen = set()
         # messages are formatted only on failure: validation runs on every edge
@@ -210,7 +204,7 @@ class DiGraph:
 
     def validate(self):
         n = self.num_vertices
-        _check(is_int(n), "vertex count must be an integer")
+        _count(n, "vertex count")
         _integers(chain.from_iterable(self.arcs), "vertex numbers must be integers")
         seen = set()
         for i, j in self.arcs:
@@ -252,7 +246,7 @@ class SetFamily:
         return out
 
     def validate(self):
-        _check(is_int(self.universe_size), "universe size must be an integer")
+        _count(self.universe_size, "universe size")
         _integers(chain.from_iterable(self.sets), "elements must be integers")
         for s in self.sets:
             _check(len(set(s)) == len(s), "duplicate element within one set")
@@ -282,7 +276,7 @@ class TripleFamily:
     triples: tuple
 
     def validate(self):
-        _check(is_int(self.t_size), "t_size must be an integer")
+        _count(self.t_size, "t_size")
         _integers(chain.from_iterable(self.triples), "coordinates must be integers")
         seen = set()
         for t in self.triples:
@@ -352,8 +346,8 @@ class SteinerInstance:
             all(1 <= r <= g.num_vertices for r in self.terminals),
             "terminal out of range",
         )
-        _check(is_int(self.budget), "weight budget must be an integer")
-        _check(self.budget >= 0, "negative weight budget")
+        _check(len(set(self.terminals)) == len(self.terminals), "duplicate terminal")
+        _count(self.budget, "weight budget")
 
     def size(self, mode):
         """The weighted graph, the terminals and the budget."""

@@ -23,11 +23,12 @@ enumerating it.  chromatic_number and steiner_tree are one entry each in
 Six kinds keep searches of their own.  sat/threesat assign x1, x2, ...
 depth-first, False before True, cut a branch at a falsified clause and
 compute `explored` from the witness's rank (2^n on NO); ip01 calls `solve_ip`
-(bound-pruned, guarded by its 2^v space); dhcp/hcp walk vertex orders
-depth-first with adjacency pruning, and clique_cover walks restricted
-growth strings, and these two count visited nodes or leaves against the
-budget.  Every search uses explicit stacks, not recursion.  Verdicts and
-witnesses are deterministic, and every witness is checked once more by
+(bound-pruned, guarded by its 2^v space); dhcp walks vertex orders
+depth-first with adjacency pruning, and hcp runs the same search over both
+arc directions of each edge; clique_cover walks restricted growth strings;
+these two count visited nodes or leaves against the budget.  Every search
+uses explicit stacks, not recursion.  Verdicts and witnesses are
+deterministic, and every witness is checked once more by
 `verify_certificate` before it is returned.
 """
 
@@ -451,23 +452,21 @@ def _lex_rank(n, subset):
 def _solve_hamiltonian(problem, budget):
     """Depth-first search over vertex orders anchored at vertex 1, trying
     successors in increasing order; adjacency pruning only skips orders
-    that cannot extend to a cycle.  Every visited node counts against the
+    that cannot extend to a cycle.  hcp runs the same search with each edge
+    as an arc in both directions.  Every visited node counts against the
     budget."""
     p = problem.payload
     n = p.num_vertices
-    directed = problem.kind == "dhcp"
-    if n < (2 if directed else 3):
-        return OracleVerdict(False, None, 0)
-    if directed:
-        succ = {v: sorted(w for u, w in p.arcs if u == v) for v in _first(n)}
-        closing = {u for u, w in p.arcs if w == 1}
+    if problem.kind == "dhcp":
+        arcs, shortest = p.arcs, 2
     else:
-        succ = {v: set() for v in _first(n)}
-        for i, j in p.effective_edges():
-            succ[i].add(j)
-            succ[j].add(i)
-        succ = {v: sorted(ws) for v, ws in succ.items()}
-        closing = set(succ[1])
+        arcs, shortest = p.edges + tuple((j, i) for i, j in p.edges), 3
+    if n < shortest:
+        return OracleVerdict(False, None, 0)
+    succ = [[] for _ in range(n + 1)]  # succ[v]: v's successors, increasing
+    for u, w in sorted(arcs):
+        succ[u].append(w)
+    closing = {u for u, w in arcs if w == 1}
 
     path, used = [1], [False, True] + [False] * (n - 1)  # used[v]: v is on the path
     untried = [iter(succ[1])]  # untried[d]: successors of path[d] left to try

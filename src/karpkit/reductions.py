@@ -83,6 +83,22 @@ def lift_same(source, target, cert):
     return certificate(source, tuple(cert.value))
 
 
+def lift_assignment(source, target, cert):
+    """The source's variables come first in the target, in order: keep their
+    values, as booleans."""
+    m = source.payload.num_literals
+    return certificate(source, tuple(map(bool, cert.value[:m])))
+
+
+def _holders(items):
+    """key -> the 0-based indices of the items holding it, in item order."""
+    holders = {}
+    for i, keys in enumerate(items):
+        for key in keys:
+            holders.setdefault(key, []).append(i)
+    return holders
+
+
 def _row(terms, relation, rhs, slack_bound=None):
     return ConstraintRow(tuple(terms), relation, rhs, slack_bound)
 
@@ -118,11 +134,6 @@ def reduce_sat_to_3sat(problem):
             clauses.append((-fresh[j - 2], clause[j], fresh[j - 1]))
         clauses.append((-fresh[-1], clause[k - 2], clause[k - 1]))
     return Problem("threesat", CnfFormula(next_var, tuple(clauses)))
-
-
-def lift_sat_to_3sat(source, target, cert):
-    m = source.payload.num_literals
-    return certificate(source, tuple(cert.value[:m]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +177,9 @@ def counts_clique_to_ip(source, target):
 def reduce_set_packing_to_ip(problem):
     fam, l = problem.payload, problem.param
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
-    member = {j: [] for j in range(1, fam.universe_size + 1)}
-    for i, s in enumerate(fam.sets):
-        for j in s:
-            member[j].append(i)
+    member = _holders(fam.sets)
     rows = [
-        _row([(i, 1) for i in member[j]], LE, 1, 1)
+        _row([(i, 1) for i in member.get(j, ())], LE, 1, 1)
         for j in range(1, fam.universe_size + 1)
     ]
     rows.append(_row([(i, 1) for i in range(fam.num_sets)], EQ, l))
@@ -195,10 +203,8 @@ def counts_family_to_ip(source, target):
 def reduce_node_cover_to_set_covering(problem):
     """Universe = edges; set j holds the edges incident with vertex j; k = l."""
     g, l = problem.payload, problem.param
-    edge_id = {e: idx + 1 for idx, e in enumerate(g.edges)}
-    sets = []
-    for j in range(1, g.num_vertices + 1):
-        sets.append(tuple(edge_id[e] for e in g.edges if j in e))
+    incident = _holders(g.edges)
+    sets = [tuple(e + 1 for e in incident.get(j, ())) for j in range(1, g.num_vertices + 1)]
     fam = SetFamily(len(g.edges), tuple(sets))
     return Problem("set_covering", fam, param=l)
 
@@ -219,10 +225,7 @@ def reduce_set_covering_to_ip(problem):
     set contains imposes no requirement), plus an exactly-k row."""
     fam, k = problem.payload, problem.param
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
-    member = {}
-    for i, s in enumerate(fam.sets):
-        for j in s:
-            member.setdefault(j, []).append(i)
+    member = _holders(fam.sets)
     rows = [
         _row([(i, 1) for i in member[j]], GE, 1, len(member[j]) - 1)
         for j in sorted(member)
@@ -377,11 +380,6 @@ def reduce_threesat_to_ip(problem):
     return _ip_problem(variables, rows)
 
 
-def lift_threesat_to_ip(source, target, cert):
-    m = source.payload.num_literals
-    return certificate(source, tuple(bool(x) for x in cert.value[:m]))
-
-
 def counts_threesat_to_ip(source, target):
     n = len(source.payload.clauses)
     prog = target.payload
@@ -399,10 +397,7 @@ def counts_threesat_to_ip(source, target):
 def reduce_exact_cover_to_ip(problem):
     fam = problem.payload
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
-    member = {}
-    for i, s in enumerate(fam.sets):
-        for j in s:
-            member.setdefault(j, []).append(i)
+    member = _holders(fam.sets)
     rows = [_row([(i, 1) for i in member[j]], EQ, 1) for j in sorted(member)]
     return _ip_problem(variables, rows)
 
@@ -527,12 +522,9 @@ def reduce_three_dim_matching_to_ip(problem):
     """One equality row per (ground element, coordinate) pair."""
     tf = problem.payload
     variables = [VariableTag(("triple", i)) for i in range(1, len(tf.triples) + 1)]
-    occur = {(j, k): [] for j in range(1, tf.t_size + 1) for k in (1, 2, 3)}
-    for i, t in enumerate(tf.triples):
-        for k in (1, 2, 3):
-            occur[(t[k - 1], k)].append(i)
+    occur = _holders(zip(t, (1, 2, 3)) for t in tf.triples)
     rows = [
-        _row([(i, 1) for i in occur[(j, k)]], EQ, 1)
+        _row([(i, 1) for i in occur.get((j, k), ())], EQ, 1)
         for j in range(1, tf.t_size + 1)
         for k in (1, 2, 3)
     ]
@@ -627,17 +619,11 @@ def reduce_chromatic_to_clique_cover(problem, mode="dense"):
     materialises every complement edge, compressed mode stores the original
     graph with a complement flag."""
     g, k = problem.payload, problem.param
+    compressed = UGraph(g.num_vertices, g.edges, complement=True)
     if mode == "dense":
-        stored = set(g.edges)
-        comp = tuple(
-            (i, j)
-            for i in range(1, g.num_vertices + 1)
-            for j in range(i + 1, g.num_vertices + 1)
-            if (i, j) not in stored
-        )
-        target_graph = UGraph(g.num_vertices, comp)
+        target_graph = UGraph(g.num_vertices, compressed.effective_edges())
     elif mode == "compressed":
-        target_graph = UGraph(g.num_vertices, g.edges, complement=True)
+        target_graph = compressed
     else:
         raise ValueError("mode must be 'dense' or 'compressed'")
     return Problem("clique_cover", target_graph, param=k)
@@ -660,7 +646,7 @@ REDUCTIONS = {
     spec.name: spec
     for spec in (
         ReductionSpec("sat_to_3sat", "sat", "threesat", reduce_sat_to_3sat,
-                      lift_sat_to_3sat, (3.0, 0.0)),
+                      lift_assignment, (3.0, 0.0)),
         ReductionSpec("clique_to_ip", "clique", "ip01", reduce_clique_to_ip,
                       _tagged("vertex"), (12.0, 3.0), counts_clique_to_ip),
         ReductionSpec("set_packing_to_ip", "set_packing", "ip01", reduce_set_packing_to_ip,
@@ -675,7 +661,7 @@ REDUCTIONS = {
         ReductionSpec("dhcp_to_hcp", "dhcp", "hcp", reduce_dhcp_to_hcp, lift_dhcp_to_hcp,
                       (3.0, 0.0), counts_dhcp_to_hcp),
         ReductionSpec("threesat_to_ip", "threesat", "ip01", reduce_threesat_to_ip,
-                      lift_threesat_to_ip, (4.0 / 3.0, 0.0), counts_threesat_to_ip),
+                      lift_assignment, (4.0 / 3.0, 0.0), counts_threesat_to_ip),
         ReductionSpec("exact_cover_to_ip", "exact_cover", "ip01", reduce_exact_cover_to_ip,
                       _tagged("set"), (2.0, 0.0), counts_exact_cover),
         ReductionSpec("hitting_set_to_ip", "hitting_set", "ip01", reduce_hitting_set_to_ip,

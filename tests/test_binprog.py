@@ -1,8 +1,10 @@
+import ast
 import random
 from itertools import combinations, product
 
 import pytest
 
+import karpkit.binprog
 from karpkit.binprog import (
     EQ,
     GE,
@@ -251,3 +253,21 @@ def test_dump_is_readable():
     prog = _prog(2, [ConstraintRow(((0, 2), (1, -1)), LE, 1, 1)])
     text = prog.dump()
     assert "<=" in text and "2*" in text
+
+
+def test_binprog_imports_nothing_from_karpkit():
+    # instances imports binprog; an import back, even one inside a function
+    # body, would make the package's modules import each other
+    with open(karpkit.binprog.__file__) as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = ["." if node.level else node.module]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(m == "." or m.split(".")[0] == "karpkit" for m in modules):
+            found.append(ast.unparse(node))
+    assert found == []

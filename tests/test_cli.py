@@ -442,6 +442,31 @@ def test_short_edge_row_is_a_usage_error(tmp_path, capsys, kind, command):
     assert err == "error: edge row needs two vertices\n"
 
 
+_NEGATIVE_SIZES = {
+    "dhcp": ('{"kind": "dhcp", "payload": {"graph": {"num_vertices": -1, "arcs": []}}}',
+             "negative vertex count"),
+    "set_packing": ('{"kind": "set_packing", "payload": '
+                    '{"family": {"universe_size": -5, "sets": []}, "l": 0}}',
+                    "negative universe size"),
+    "three_dim_matching": ('{"kind": "three_dim_matching", "payload": '
+                           '{"t_size": -1, "triples": []}}', "negative t_size"),
+    "steiner_tree": (_TERMINALS % "1, 2", "duplicate terminal"),  # terminals [1, 1, 2]
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "measure", "verify"])
+@pytest.mark.parametrize("kind", sorted(_NEGATIVE_SIZES))
+def test_negative_size_or_repeated_terminal_is_a_usage_error(tmp_path, capsys, kind, command):
+    # these gave a verdict (set_packing YES, dhcp NO), a size, or a math.comb
+    # error, and measure counted a repeated terminal twice
+    text, message = _NEGATIVE_SIZES[kind]
+    path = _write(tmp_path, "p.json", text)
+    extra = ("--cert", _write(tmp_path, "c.json", '{"kind": "x", "value": []}'))
+    code, out, err = run(capsys, command, path, *(extra if command == "verify" else ()))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_json_nested_too_deep_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
     code, out, err = run(capsys, "solve", "-")

@@ -289,6 +289,13 @@ MALFORMED_INSTANCES = [
     (Problem("max_cut", UGraph(2, ((1, 2),), (-1,)), 1), InvalidInstanceError,
      "negative edge weight"),
     (Problem("frobnicate", None), UnsupportedKindError, "unknown kind 'frobnicate'"),
+    (Problem("dhcp", DiGraph(-1, ())), InvalidInstanceError, "negative vertex count"),
+    (Problem("set_packing", SetFamily(-1, ()), 0), InvalidInstanceError,
+     "negative universe size"),
+    (Problem("three_dim_matching", TripleFamily(-1, ())), InvalidInstanceError,
+     "negative t_size"),
+    (Problem("steiner_tree", SteinerInstance(_WEIGHTED, (1, 1), 1)), InvalidInstanceError,
+     "duplicate terminal"),
 ]
 
 
