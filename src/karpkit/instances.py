@@ -14,9 +14,10 @@ branch on a kind.
 
 Adding a kind: give it a `KINDS` entry, reusing a carrier or writing one
 with `validate`, `size`, `to_json` and `from_json`; then a generator branch
-and scale knob in `genlab`, an oracle (an `oracles.SUBSETS` or
-`oracles.CANDIDATES` entry, or a search of its own) and, unless it is a
-kernel kind, a route in `reductions._ROUTES`.
+and scale knob in `genlab`, an oracle (an `oracles.SUBSETS` entry, or a
+search of its own that ranks its witness; `oracles.CANDIDATES`, which
+enumerates, holds only steiner_tree) and, unless it is a kernel kind, a
+route in `reductions._ROUTES`.
 """
 
 from __future__ import annotations
@@ -141,6 +142,8 @@ class UGraph:
         n = self.num_vertices
         _count(n, "vertex count")
         _integers(chain.from_iterable(self.edges), "vertex numbers must be integers")
+        # "false" or 1 would read as true
+        _check(type(self.complement) is bool, "complement flag must be a boolean")
         seen = set()
         # messages are formatted only on failure: validation runs on every edge
         for i, j in self.edges:
@@ -191,7 +194,7 @@ class UGraph:
             d["num_vertices"],
             edges,
             weights if weighted else None,
-            bool(d.get("complement", False)),
+            d.get("complement", False),
         )
 
 
@@ -428,7 +431,8 @@ def _three_literals(problem):
 
 def _target(problem):
     target = problem.payload.target
-    _check(target is not None and target >= 0, "knapsack requires a target")
+    _check(target is not None, "knapsack requires a target")
+    _count(target, "target")
 
 
 def _no_target(problem):

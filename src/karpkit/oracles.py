@@ -17,25 +17,30 @@ before left out, which is the order of `combinations`; a kind's `SUBSETS`
 entry gives the checks that cut a branch, and each cuts only where no
 subset below passes the YES test.  `explored` is computed from the
 witness's rank, so a witness deep in a large space is ranked without
-enumerating it.  chromatic_number and steiner_tree are one entry each in
-`CANDIDATES`, the space size and an iterator over it, run by one loop.
+enumerating it.  steiner_tree is the one entry of `CANDIDATES`, the space
+size and an iterator over it, run by one loop.
 
-Six kinds keep searches of their own.  sat/threesat assign x1, x2, ...
-depth-first, False before True, cut a branch at a falsified clause and
-compute `explored` from the witness's rank (2^n on NO); ip01 calls `solve_ip`
-(bound-pruned, guarded by its 2^v space); dhcp walks vertex orders
-depth-first with adjacency pruning, and hcp runs the same search over both
-arc directions of each edge; clique_cover walks restricted growth strings;
-these two count visited nodes or leaves against the budget.  Every search
-uses explicit stacks, not recursion.  Verdicts and witnesses are
-deterministic, and every witness is checked once more by
+Seven kinds keep searches of their own.  sat/threesat assign x1, x2, ...
+depth-first, False before True, and cut a branch at a falsified clause;
+chromatic_number colours vertices 1..n in order, colours 1..k ascending,
+and cuts a colour an earlier neighbour holds; clique_cover places vertices
+1..n in order into blocks, as restricted growth strings with at most `l`
+blocks, and cuts a block holding a non-neighbour.  These three compute
+`explored` from the witness's rank (the space size on NO); clique_cover,
+whose budget counts strings, refuses once the strings it has ranked pass
+the budget.  ip01 calls `solve_ip` (bound-pruned, guarded by its 2^v
+space).  dhcp walks vertex orders depth-first, looking ahead at the
+vertices left off the path, and hcp runs the same search over both arc
+directions of each edge; only these two count visited nodes against the
+budget.  Every search uses explicit stacks, not recursion.  Verdicts and
+witnesses are deterministic, and every witness is checked once more by
 `verify_certificate` before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations
 from math import comb
 from operator import add, neg
 from typing import Optional
@@ -109,8 +114,6 @@ def _trees(g):
 # kind -> (payload, param) -> (size of the candidate space, candidate
 # certificate values in the order they are tried)
 CANDIDATES = {
-    "chromatic_number": lambda g, k: (
-        max(k, 1) ** g.num_vertices, product(_first(k), repeat=g.num_vertices)),
     "steiner_tree": lambda s, _: (
         (1 << len(s.graph.edges)) * max(s.graph.num_vertices, 1), _trees(s.graph)),
 }
@@ -340,6 +343,8 @@ def solve(problem, budget=DEFAULT_BUDGET):
         return _solve_sat(problem, budget)
     if kind in ("dhcp", "hcp"):
         return _solve_hamiltonian(problem, budget)
+    if kind == "chromatic_number":
+        return _solve_chromatic(problem, budget)
     if kind == "clique_cover":
         return _solve_clique_cover(problem, budget)
     raise UnsupportedKindError("no oracle for kind %r" % kind)
@@ -451,81 +456,173 @@ def _lex_rank(n, subset):
 
 def _solve_hamiltonian(problem, budget):
     """Depth-first search over vertex orders anchored at vertex 1, trying
-    successors in increasing order; adjacency pruning only skips orders
-    that cannot extend to a cycle.  hcp runs the same search with each edge
-    as an arc in both directions.  Every visited node counts against the
-    budget."""
+    successors in increasing order; hcp runs the same search with each
+    edge as an arc in both directions.  After each step from v to w it
+    looks ahead at the vertices off the path that lost an option, the
+    successors of v and the predecessors of w, and cuts the branch when
+    one of them can no longer join the cycle.  For dhcp such a vertex
+    needs an arc in from w or another vertex off the path, and an arc out
+    to vertex 1 or another vertex off the path; for hcp, two neighbours
+    among w, vertex 1 and the vertices off the path.  A cut branch holds
+    no cycle, so the witness is the first cycle in that order.  Every
+    visited node counts against the budget."""
     p = problem.payload
     n = p.num_vertices
-    if problem.kind == "dhcp":
+    directed = problem.kind == "dhcp"
+    if directed:
         arcs, shortest = p.arcs, 2
     else:
         arcs, shortest = p.edges + tuple((j, i) for i, j in p.edges), 3
     if n < shortest:
         return OracleVerdict(False, None, 0)
-    succ = [[] for _ in range(n + 1)]  # succ[v]: v's successors, increasing
-    for u, w in sorted(arcs):
-        succ[u].append(w)
-    closing = {u for u, w in arcs if w == 1}
-
-    path, used = [1], [False, True] + [False] * (n - 1)  # used[v]: v is on the path
-    untried = [iter(succ[1])]  # untried[d]: successors of path[d] left to try
     explored = 1
     if explored > budget:
         raise _exceeded(problem.kind, budget)
+    succ = [[] for _ in range(n + 1)]  # succ[v]: v's successors, increasing
+    pred = [[] for _ in range(n + 1)]
+    for u, w in sorted(arcs):
+        if u != w:  # a self-loop is on no cycle through two or more vertices
+            succ[u].append(w)
+            pred[w].append(u)
+    if not all(succ[1:]) or not all(pred[1:]):
+        return OracleVerdict(False, None, explored)
+    closing = set(pred[1])
+    # ins[x], outs[x]: the usable arcs into and out of x.  A step from v to
+    # w costs v's successors an arc in, since v is no longer the path's
+    # end, and w's predecessors an arc out.  For hcp `ins` counts usable
+    # neighbours: vertex 1 and the path's end stay usable, so only a step
+    # away from a vertex v > 1 costs v's neighbours one.
+    ins, outs = list(map(len, pred)), list(map(len, succ))
+    if directed:
+        lose_in, lose_out, need = succ, pred, 1
+    else:
+        lose_in, lose_out, need = [[], []] + succ[2:], [()] * (n + 1), 2
+
+    path, used = [1], [False, True] + [False] * (n - 1)  # used[v]: v is on the path
+    untried = [iter(succ[1])]  # untried[d]: successors of path[d] left to try
     while untried:
         for w in untried[-1]:
             if not used[w]:
                 break
         else:
             untried.pop()
-            used[path.pop()] = False
+            w = path.pop()
+            used[w] = False
+            if path:
+                for x in lose_in[path[-1]]:
+                    ins[x] += 1
+                for x in lose_out[w]:
+                    outs[x] += 1
             continue
+        v = path[-1]
         path.append(w)
         used[w] = True
         explored += 1
         if explored > budget:
             raise _exceeded(problem.kind, budget)
-        if len(path) < n:
+        for x in lose_in[v]:
+            ins[x] -= 1
+        for x in lose_out[w]:
+            outs[x] -= 1
+        if len(path) == n:
+            if w in closing:
+                return _yes(problem, tuple(path), explored)
+        elif all(used[x] or ins[x] >= need and outs[x] for x in chain(succ[v], pred[w])):
             untried.append(iter(succ[w]))
-        elif w in closing:
-            return _yes(problem, tuple(path), explored)
-        else:
-            used[path.pop()] = False
+            continue
+        for x in lose_in[v]:
+            ins[x] += 1
+        for x in lose_out[w]:
+            outs[x] += 1
+        used[path.pop()] = False
     return OracleVerdict(False, None, explored)
 
 
+def _solve_chromatic(problem, budget):
+    """Colour vertices 1..n in order, colours 1..k ascending: the order of
+    `product(range(1, k + 1), repeat=n)`.  A colour that an earlier
+    neighbour holds is cut, and every colouring it skips gives that edge's
+    ends one colour, so the first leaf is the first proper colouring.
+    `explored` is its rank, 1 + sum((c_i - 1) * k^(n - i)), or k^n on NO."""
+    g, k = problem.payload, problem.param
+    n = g.num_vertices
+    _guard(max(k, 1) ** n, budget, problem.kind)
+    earlier = [[] for _ in range(n)]  # earlier[i]: vertex i + 1's earlier neighbours
+    for u, v in g.edges:  # stored with u < v
+        earlier[v - 1].append(u - 1)
+    colors = [0] * n  # colors[i]: vertex i + 1's colour, 0 before it has one
+    i = 0
+    while i < n:
+        c = colors[i] + 1
+        taken = {colors[u] for u in earlier[i]}
+        while c in taken:
+            c += 1
+        if c > k:  # no colour left: back to the previous vertex's next colour
+            colors[i] = 0
+            i -= 1
+            if i < 0:
+                return OracleVerdict(False, None, k ** n)
+        else:
+            colors[i] = c
+            i += 1
+    rank = 0
+    for c in colors:
+        rank = rank * k + c - 1
+    return _yes(problem, tuple(colors), rank + 1)
+
+
 def _solve_clique_cover(problem, budget):
-    """Enumerate set partitions of the vertices with at most `l` blocks as
-    restricted growth strings, lexicographically.  Every leaf counts
-    against the budget."""
-    p = problem.payload
-    n, l = p.num_vertices, problem.param
+    """Place vertices 1..n in order into blocks, the restricted growth
+    strings with at most `l` blocks in lexicographic order: an existing
+    block, lowest first, then a new block while fewer than `l` are in use.
+    A block holding a vertex that the new one is not adjacent to is cut;
+    every string it skips puts a non-edge in one block, so the first leaf
+    is the witness.  `explored` is its rank, or on NO the number of
+    strings, counted from the strings each cut skips; the search refuses
+    as soon as that count passes the budget."""
+    g, l = problem.payload, problem.param
+    n = g.num_vertices
     if n == 0:
         return _yes(problem, (), 1)
     if l == 0:
         return OracleVerdict(False, None, 0)
-    is_yes = yes_test(problem)
-    rgs = [0] * n  # rgs[v - 1]: block of vertex v
-    top = [0] * n  # top[i]: max(rgs[:i + 1])
-    explored = 0
-    while True:
-        explored += 1
-        if explored > budget:
-            raise _exceeded("clique_cover", budget)
-        blocks = [[] for _ in range(top[-1] + 1)]
-        for v, b in enumerate(rgs, start=1):
-            blocks[b].append(v)
-        blocks = tuple(map(tuple, blocks))
-        if is_yes(blocks):
-            return _yes(problem, blocks, explored)
-        # next string: bump the last position that can grow, zero the rest
-        i = n - 1
-        while i > 0 and rgs[i] >= min(top[i - 1] + 1, l - 1):
+    adj = [0] * n  # adj[i]: the mask of vertex i + 1's neighbours, bit v - 1 for v
+    for u, v in g.effective_edges():
+        adj[u - 1] |= 1 << (v - 1)
+        adj[v - 1] |= 1 << (u - 1)
+    # strings[r][j]: the completions of r more positions with j blocks in
+    # use and at most l in all
+    strings = [[1] * (l + 1)]
+    for _ in range(n - 1):
+        last = strings[-1]
+        strings.append([j * last[j] + (last[j + 1] if j < l else 0) for j in range(l + 1)])
+    blocks, masks = [0] * n, [1]  # blocks[i]: vertex i + 1's block; masks[b]: b's vertices
+    skipped = 0  # the strings before the current branch
+    i, b = 1, 0  # the vertex to place and the first block to try
+    while i < n:
+        m, rest = len(masks), strings[n - 1 - i]
+        while b < m and masks[b] & ~adj[i]:
+            skipped += rest[m]
+            b += 1
+        if skipped > budget:
+            raise _exceeded(problem.kind, budget)
+        if b < m:
+            masks[b] |= 1 << i
+        elif b == m < l:
+            masks.append(1 << i)
+        else:  # no block left: back to the previous vertex's next block
             i -= 1
-        if i == 0:
-            return OracleVerdict(False, None, explored)
-        rgs[i] += 1
-        top[i] = max(top[i - 1], rgs[i])
-        rgs[i + 1:] = [0] * (n - i - 1)
-        top[i + 1:] = [top[i]] * (n - i - 1)
+            if not i:
+                return OracleVerdict(False, None, skipped)
+            b = blocks[i]
+            masks[b] ^= 1 << i
+            if not masks[b]:
+                masks.pop()
+            b += 1
+            continue
+        blocks[i] = b
+        i, b = i + 1, 0
+    if skipped >= budget:
+        raise _exceeded(problem.kind, budget)
+    value = tuple(tuple(v for v in range(1, n + 1) if blocks[v - 1] == c) for c in range(len(masks)))
+    return _yes(problem, value, skipped + 1)

@@ -467,6 +467,29 @@ def test_negative_size_or_repeated_terminal_is_a_usage_error(tmp_path, capsys, k
     assert err == "error: %s\n" % message
 
 
+_COMPLEMENTED = (
+    '{"kind": "clique_cover", "payload": '
+    '{"graph": {"num_vertices": 2, "edges": [[1, 2]], "complement": %s}, "l": 1}}'
+)
+
+
+@pytest.mark.parametrize("command", ["solve", "measure", "verify"])
+@pytest.mark.parametrize("flag", ['"false"', '"true"', "1", "0", "null", "[]"])
+def test_complement_flag_that_is_not_a_bool_is_a_usage_error(tmp_path, capsys, flag, command):
+    # read with bool(), "false" meant true and solve answered NO (exit 1)
+    path = _write(tmp_path, "p.json", _COMPLEMENTED % flag)
+    extra = ("--cert", _write(tmp_path, "c.json", '{"kind": "x", "value": []}'))
+    code, out, err = run(capsys, command, path, *(extra if command == "verify" else ()))
+    assert code == 2 and out == ""
+    assert err == "error: complement flag must be a boolean\n"
+
+
+@pytest.mark.parametrize("flag, code, verdict", [("false", 0, "YES"), ("true", 1, "NO")])
+def test_complement_flag_that_is_a_bool_is_read(tmp_path, capsys, flag, code, verdict):
+    path = _write(tmp_path, "p.json", _COMPLEMENTED % flag)
+    assert run(capsys, "solve", path)[:2] == (code, verdict + "\n")
+
+
 def test_json_nested_too_deep_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
     code, out, err = run(capsys, "solve", "-")

@@ -319,6 +319,136 @@ def test_sat_search_ranks_a_witness_it_never_enumerates():
     assert (v.answer, v.certificate.value, v.explored) == (True, (True,) * n, 1 << n)
 
 
+def _colourings(problem, budget):
+    """Colourings in `product` order, colours 1..k."""
+    n, k = problem.payload.num_vertices, problem.param
+    return _enumerated(problem, budget, max(k, 1) ** n, product(range(1, k + 1), repeat=n))
+
+
+def _growth_strings(n, l):
+    """The restricted growth strings of length n >= 1 with at most l
+    blocks, lexicographically."""
+    strings = [(0,)]
+    for _ in range(n - 1):
+        strings = [s + (b,) for s in strings for b in range(min(max(s) + 2, l))]
+    return strings
+
+
+def _partitions(problem, budget):
+    """Set partitions as restricted growth strings; every string counts
+    against the budget."""
+    n, l = problem.payload.num_vertices, problem.param
+    if n == 0:
+        return (True, (), 1)
+    if l == 0:
+        return (False, None, 0)
+    is_yes = yes_test(problem)
+    explored = 0
+    for explored, rgs in enumerate(_growth_strings(n, l), 1):
+        if explored > budget:
+            return ("refused", "clique_cover search exceeded budget %d" % budget)
+        blocks = tuple(tuple(v for v in _upto(n) if rgs[v - 1] == b) for b in range(max(rgs) + 1))
+        if is_yes(blocks):
+            return (True, blocks, explored)
+    return (False, None, explored)
+
+
+@st.composite
+def colouring_problems(draw, kind):
+    n = draw(st.integers(0, 6 if kind == "chromatic_number" else 8))
+    complement = kind == "clique_cover" and draw(st.booleans())
+    graph = UGraph.make(n, _edges(draw, n), complement=complement)
+    return Problem(kind, graph, draw(st.integers(0, n)))
+
+
+@pytest.mark.parametrize("kind, reference", [
+    ("chromatic_number", _colourings), ("clique_cover", _partitions)])
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_colouring_search_matches_the_enumerator(kind, reference, data):
+    problem = data.draw(colouring_problems(kind))
+    for budget in (DEFAULT_BUDGET, 40):
+        assert _record(problem, budget) == reference(problem, budget)
+
+
+def test_chromatic_search_ranks_colourings_it_never_enumerates():
+    # every vertex after the triangle 1-2-3 is joined to 1 and 2, so it
+    # takes colour 3: the last colouring that starts 1, 2, at rank 2 * 3^38
+    n, k = 40, 3
+    edges = ((1, 2), (1, 3), (2, 3)) + tuple((u, v) for v in range(4, n + 1) for u in (1, 2))
+    start = time.perf_counter()
+    v = solve(Problem("chromatic_number", UGraph(n, edges), k), budget=k ** n)
+    assert (v.answer, v.certificate.value, v.explored) == (True, (1, 2) + (3,) * 38, 2 * 3 ** 38)
+    # a K4 in front: NO after all 3^40 colourings, none of them enumerated
+    k4 = tuple(combinations(range(1, 5), 2))
+    v = solve(Problem("chromatic_number", UGraph(n, k4), k), budget=k ** n)
+    assert (v.answer, v.explored) == (False, k ** n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_clique_cover_search_ranks_a_witness_it_never_enumerates():
+    # three cliques dealt round-robin: the witness is the string 0 1 2 0 1 2
+    # ..., past ~3.4e13 others.  With l = 3, r more positions leave 3^r
+    # completions once 2 or 3 blocks are in use, and (3^r + 1) / 2 with 1.
+    n, l = 30, 3
+    edges = tuple(pair for pair in combinations(_upto(n), 2) if (pair[1] - pair[0]) % 3 == 0)
+    before = (3 ** 28 + 1) // 2 + 2 * 3 ** 27 + sum(i % 3 * 3 ** (n - 1 - i) for i in range(3, n))
+    start = time.perf_counter()
+    v = solve(Problem("clique_cover", UGraph(n, edges), l), budget=3 ** n)
+    assert time.perf_counter() - start < 1.0
+    blocks = tuple(tuple(range(b, n + 1, 3)) for b in (1, 2, 3))
+    assert (v.answer, v.certificate.value, v.explored) == (True, blocks, before + 1)
+    # a budget one short of the rank refuses, as the enumeration did
+    with pytest.raises(BudgetExceededError, match="clique_cover search exceeded budget"):
+        solve(Problem("clique_cover", UGraph(n, edges), l), budget=before)
+
+
+def _unpruned(problem, budget):
+    """The Hamiltonian search without its look-ahead: vertex orders from
+    vertex 1, successors in increasing order, every visited node counted."""
+    p = problem.payload
+    n = p.num_vertices
+    if problem.kind == "dhcp":
+        arcs, shortest = p.arcs, 2
+    else:
+        arcs, shortest = p.edges + tuple((j, i) for i, j in p.edges), 3
+    if n < shortest:
+        return (False, None, 0)
+    succ = {v: sorted(w for u, w in arcs if u == v) for v in _upto(n)}
+    stack, explored = [(1,)], 0
+    while stack:
+        path = stack.pop()
+        explored += 1
+        if explored > budget:
+            return ("refused", "%s search exceeded budget %d" % (problem.kind, budget))
+        if len(path) == n:
+            if (path[-1], 1) in arcs:
+                return (True, path, explored)
+            continue
+        stack.extend(path + (w,) for w in reversed(succ[path[-1]]) if w not in path)
+    return (False, None, explored)
+
+
+@st.composite
+def hamiltonian_problems(draw):
+    n = draw(st.integers(0, 7))
+    if draw(st.booleans()):
+        return Problem("hcp", UGraph.make(n, _edges(draw, n)))
+    pairs = [(i, j) for i in _upto(n) for j in _upto(n)]  # self-loops too
+    picked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Problem("dhcp", DiGraph(n, tuple(a for a, chosen in zip(pairs, picked) if chosen)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(hamiltonian_problems())
+def test_hamiltonian_look_ahead_keeps_every_answer_in_fewer_nodes(problem):
+    for budget in (DEFAULT_BUDGET, 40):
+        old = _unpruned(problem, budget)
+        if old[0] != "refused":
+            new = _record(problem, budget)
+            assert new[:2] == old[:2] and new[2] <= old[2]
+
+
 # sha256 over repr((answer, witness value, explored)) or ("refused", message)
 # of solve(generate(GeneratorSpec(kind, s, {}))) for s = 0..99, one line
 # each; (default budget, budget 40) per kind
@@ -352,8 +482,8 @@ GOLDEN = {
         "6abc2e211891741a7ea56f0c8bb33200be34898bc98ce85defe6997af338bdd9",
     ),
     "hcp": (
-        "f294dcd432992730ed940f7e2c5fe2848f294ff9224037aa8fe2f4524f1d1a69",
-        "f294dcd432992730ed940f7e2c5fe2848f294ff9224037aa8fe2f4524f1d1a69",
+        "9b6319eec3d7bd881e1b09f25946390b1d1f68214d4533a318e7d8f2be9a34dc",
+        "9b6319eec3d7bd881e1b09f25946390b1d1f68214d4533a318e7d8f2be9a34dc",
     ),
     "hitting_set": (
         "527040e75af987a88240f1972372afad48af4fcd247e88648daeb7d9d6d7ec0e",
@@ -439,8 +569,7 @@ _PATH6_CHORD = tuple((i, i + 1) for i in range(1, 6)) + ((1, 3),)
     (Problem("dhcp", DiGraph(1, ())), DEFAULT_BUDGET, (False, None, 0)),
     (Problem("dhcp", DiGraph(6, _K6_ARCS)), 0,
      ("refused", "dhcp search exceeded budget 0")),
-    (Problem("hcp", UGraph(6, _PATH6_CHORD)), 8,
-     ("refused", "hcp search exceeded budget 8")),
+    (Problem("hcp", UGraph(6, _PATH6_CHORD)), 8, (False, None, 8)),
     (Problem("clique_cover", UGraph(0, ()), 0), DEFAULT_BUDGET, (True, (), 1)),
     (Problem("clique_cover", UGraph(3, ((1, 2),)), 0), DEFAULT_BUDGET, (False, None, 0)),
     (Problem("clique_cover", UGraph(6, ()), 3), 5,

@@ -276,7 +276,7 @@ MALFORMED_INSTANCES = [
     (Problem("knapsack", IntegerList((1, 2))), InvalidInstanceError,
      "knapsack requires a target"),
     (Problem("knapsack", IntegerList((1, 2), -1)), InvalidInstanceError,
-     "knapsack requires a target"),
+     "negative target"),
     (Problem("knapsack", IntegerList((0, 2), 1)), InvalidInstanceError,
      "integers must be >= 1"),
     (Problem("job_sequencing", IntegerList((1,))), InvalidInstanceError,
@@ -296,6 +296,8 @@ MALFORMED_INSTANCES = [
      "negative t_size"),
     (Problem("steiner_tree", SteinerInstance(_WEIGHTED, (1, 1), 1)), InvalidInstanceError,
      "duplicate terminal"),
+    (Problem("clique_cover", UGraph(2, ((1, 2),), None, "false"), 1), InvalidInstanceError,
+     "complement flag must be a boolean"),
 ]
 
 
