@@ -142,7 +142,7 @@ class UGraph:
         n = self.num_vertices
         _count(n, "vertex count")
         _integers(chain.from_iterable(self.edges), "vertex numbers must be integers")
-        # "false" or 1 would read as true
+        # a truthy "false" or 1 would flip every edge
         _check(type(self.complement) is bool, "complement flag must be a boolean")
         seen = set()
         # messages are formatted only on failure: validation runs on every edge

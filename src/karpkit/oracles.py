@@ -624,5 +624,5 @@ def _solve_clique_cover(problem, budget):
         i, b = i + 1, 0
     if skipped >= budget:
         raise _exceeded(problem.kind, budget)
-    value = tuple(tuple(v for v in range(1, n + 1) if blocks[v - 1] == c) for c in range(len(masks)))
+    value = tuple(tuple(v for v in _first(n) if blocks[v - 1] == c) for c in range(len(masks)))
     return _yes(problem, value, skipped + 1)
