@@ -463,9 +463,10 @@ def _solve_hamiltonian(problem, budget):
     one of them can no longer join the cycle.  For dhcp such a vertex
     needs an arc in from w or another vertex off the path, and an arc out
     to vertex 1 or another vertex off the path; for hcp, two neighbours
-    among w, vertex 1 and the vertices off the path.  A cut branch holds
-    no cycle, so the witness is the first cycle in that order.  Every
-    visited node counts against the budget."""
+    among w, vertex 1 and the vertices off the path.  Before the first
+    step every vertex takes the same test, and one that fails it gives NO
+    at once.  A cut branch holds no cycle, so the witness is the first
+    cycle in that order.  Every visited node counts against the budget."""
     p = problem.payload
     n = p.num_vertices
     directed = problem.kind == "dhcp"
@@ -484,8 +485,6 @@ def _solve_hamiltonian(problem, budget):
         if u != w:  # a self-loop is on no cycle through two or more vertices
             succ[u].append(w)
             pred[w].append(u)
-    if not all(succ[1:]) or not all(pred[1:]):
-        return OracleVerdict(False, None, explored)
     closing = set(pred[1])
     # ins[x], outs[x]: the usable arcs into and out of x.  A step from v to
     # w costs v's successors an arc in, since v is no longer the path's
@@ -497,6 +496,8 @@ def _solve_hamiltonian(problem, budget):
         lose_in, lose_out, need = succ, pred, 1
     else:
         lose_in, lose_out, need = [[], []] + succ[2:], [()] * (n + 1), 2
+    if any(ins[x] < need or not outs[x] for x in _first(n)):
+        return OracleVerdict(False, None, explored)
 
     path, used = [1], [False, True] + [False] * (n - 1)  # used[v]: v is on the path
     untried = [iter(succ[1])]  # untried[d]: successors of path[d] left to try

@@ -449,6 +449,24 @@ def test_hamiltonian_look_ahead_keeps_every_answer_in_fewer_nodes(problem):
             assert new[:2] == old[:2] and new[2] <= old[2]
 
 
+@pytest.mark.parametrize("problem, record, unpruned", [
+    # after 1 -> 4, vertex 3's one arc out leads onto the path
+    (Problem("dhcp", DiGraph(4, ((1, 4), (2, 3), (3, 4), (4, 1), (4, 2)))),
+     (False, None, 2), 4),
+    # after 1 -> 2 -> 3, vertex 4's one arc in comes from inside the path
+    (Problem("dhcp", DiGraph(4, ((1, 2), (1, 4), (2, 3), (3, 1), (4, 1)))),
+     (False, None, 3), 4),
+    # after 1 -> 2 -> 3, vertex 4 keeps one usable neighbour, 3
+    (Problem("hcp", UGraph(4, ((1, 2), (1, 3), (2, 3), (2, 4), (3, 4)))),
+     (True, (1, 2, 4, 3), 5), 6),
+    # vertex 3 has no arc out: NO at the root
+    (Problem("dhcp", DiGraph(3, ((1, 2), (2, 1), (2, 3)))), (False, None, 1), 3),
+], ids=["dhcp-out", "dhcp-in", "hcp-neighbours", "dhcp-root"])
+def test_hamiltonian_look_ahead_cuts(problem, record, unpruned):
+    assert _record(problem, DEFAULT_BUDGET) == record
+    assert _unpruned(problem, DEFAULT_BUDGET)[2] == unpruned
+
+
 # sha256 over repr((answer, witness value, explored)) or ("refused", message)
 # of solve(generate(GeneratorSpec(kind, s, {}))) for s = 0..99, one line
 # each; (default budget, budget 40) per kind
@@ -482,8 +500,8 @@ GOLDEN = {
         "6abc2e211891741a7ea56f0c8bb33200be34898bc98ce85defe6997af338bdd9",
     ),
     "hcp": (
-        "9b6319eec3d7bd881e1b09f25946390b1d1f68214d4533a318e7d8f2be9a34dc",
-        "9b6319eec3d7bd881e1b09f25946390b1d1f68214d4533a318e7d8f2be9a34dc",
+        "28619f0bf359104b0ac996a085e62c7dff330a87c8bdb55d932350eac7a10020",
+        "28619f0bf359104b0ac996a085e62c7dff330a87c8bdb55d932350eac7a10020",
     ),
     "hitting_set": (
         "527040e75af987a88240f1972372afad48af4fcd247e88648daeb7d9d6d7ec0e",
@@ -569,7 +587,7 @@ _PATH6_CHORD = tuple((i, i + 1) for i in range(1, 6)) + ((1, 3),)
     (Problem("dhcp", DiGraph(1, ())), DEFAULT_BUDGET, (False, None, 0)),
     (Problem("dhcp", DiGraph(6, _K6_ARCS)), 0,
      ("refused", "dhcp search exceeded budget 0")),
-    (Problem("hcp", UGraph(6, _PATH6_CHORD)), 8, (False, None, 8)),
+    (Problem("hcp", UGraph(6, _PATH6_CHORD)), 8, (False, None, 1)),
     (Problem("clique_cover", UGraph(0, ()), 0), DEFAULT_BUDGET, (True, (), 1)),
     (Problem("clique_cover", UGraph(3, ((1, 2),)), 0), DEFAULT_BUDGET, (False, None, 0)),
     (Problem("clique_cover", UGraph(6, ()), 3), 5,
