@@ -525,17 +525,13 @@ def _solve_hamiltonian(problem, budget):
             ins[x] -= 1
         for x in lose_out[w]:
             outs[x] -= 1
-        if len(path) == n:
-            if w in closing:
-                return _yes(problem, tuple(path), explored)
-        elif all(used[x] or ins[x] >= need and outs[x] for x in chain(succ[v], pred[w])):
+        if len(path) == n and w in closing:
+            return _yes(problem, tuple(path), explored)
+        if len(path) < n and all(
+                used[x] or ins[x] >= need and outs[x] for x in chain(succ[v], pred[w])):
             untried.append(iter(succ[w]))
-            continue
-        for x in lose_in[v]:
-            ins[x] += 1
-        for x in lose_out[w]:
-            outs[x] += 1
-        used[path.pop()] = False
+        else:  # a full path that does not close, or a cut branch: back up
+            untried.append(iter(()))
     return OracleVerdict(False, None, explored)
 
 
