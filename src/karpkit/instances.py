@@ -14,10 +14,9 @@ branch on a kind.
 
 Adding a kind: give it a `KINDS` entry, reusing a carrier or writing one
 with `validate`, `size`, `to_json` and `from_json`; then a generator branch
-and scale knob in `genlab`, an oracle (an `oracles.SUBSETS` entry, or a
-search of its own that ranks its witness; `oracles.CANDIDATES`, which
-enumerates, holds only steiner_tree) and, unless it is a kernel kind, a
-route in `reductions._ROUTES`.
+and scale knob in `genlab`, an oracle (an `oracles.SUBSETS` entry, a word
+search on `oracles._first_word`, or a search of its own that ranks its
+witness) and, unless it is a kernel kind, a route in `reductions._ROUTES`.
 """
 
 from __future__ import annotations
@@ -446,16 +445,18 @@ def validate(problem):
     spec = KINDS.get(kind)
     if spec is None:
         raise UnsupportedKindError("unknown kind %r" % kind)
-    if spec.carrier is None:
-        _check(p is None, "%s carries no payload" % kind)
-        return problem
-    if not isinstance(p, spec.carrier):
+    if spec.carrier is not None and not isinstance(p, spec.carrier):
         raise InvalidInstanceError("%s requires a %s payload, got %s" % (
             kind, spec.carrier.__name__, type(p).__name__))
-    if spec.param is not None:
+    if spec.param is None:
+        _check(problem.param is None, "%s takes no parameter" % kind)
+    else:
         _check(problem.param is not None, "%s requires a scalar parameter" % kind)
         _check(is_int(problem.param), "%s parameter must be an integer" % kind)
         _check(problem.param >= 0, "negative parameter")
+    if spec.carrier is None:
+        _check(p is None, "%s carries no payload" % kind)
+        return problem
     p.validate()
     for check in spec.checks:
         check(problem)

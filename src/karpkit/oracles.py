@@ -8,32 +8,28 @@ passes the YES test, and `explored` counts the candidates that enumeration
 tries, the witness's 1-based rank, or all of them on NO.  A space larger
 than the budget is refused before any search.
 
-The twelve kinds whose witness is a subset of items share one depth-first
-search, `_first_subset`: clique, set_packing and three_dim_matching (one
-size), node_cover, set_covering, feedback_node_set and feedback_arc_set (up
-to a size), exact_cover, hitting_set, knapsack, partition and max_cut (any
-size).  For each size, smallest first, it places the items in order, picked
-before left out, which is the order of `combinations`; a kind's `SUBSETS`
-entry gives the checks that cut a branch, and each cuts only where no
-subset below passes the YES test.  `explored` is computed from the
-witness's rank, so a witness deep in a large space is ranked without
-enumerating it.  steiner_tree is the one entry of `CANDIDATES`, the space
-size and an iterator over it, run by one loop.
+Two searches are shared.  `_first_subset` decides the twelve kinds whose
+witness is a subset of items: clique, set_packing and three_dim_matching
+(one size), node_cover, set_covering, feedback_node_set and
+feedback_arc_set (up to a size), exact_cover, hitting_set, knapsack,
+partition and max_cut (any size).  For each size, smallest first, it places
+the items in order, picked before left out, the order of `combinations`; a
+kind's `SUBSETS` entry gives the checks that cut a branch.  `_first_word`
+decides the kinds whose witness is a word, one letter per position:
+sat/threesat (x1, x2, ... False before True), chromatic_number (vertices
+1..n, colours ascending) and clique_cover (vertices 1..n into blocks, the
+restricted growth strings with at most `l` blocks).  Both cut only where no
+candidate below passes the YES test and compute `explored` from the
+witness's rank, so a witness deep in a large space is never enumerated.
 
-Seven kinds keep searches of their own.  sat/threesat assign x1, x2, ...
-depth-first, False before True, and cut a branch at a falsified clause;
-chromatic_number colours vertices 1..n in order, colours 1..k ascending,
-and cuts a colour an earlier neighbour holds; clique_cover places vertices
-1..n in order into blocks, as restricted growth strings with at most `l`
-blocks, and cuts a block holding a non-neighbour.  These three compute
-`explored` from the witness's rank (the space size on NO); clique_cover,
-whose budget counts strings, refuses once the strings it has ranked pass
-the budget.  ip01 calls `solve_ip` (bound-pruned, guarded by its 2^v
-space).  dhcp walks vertex orders depth-first, looking ahead at the
-vertices left off the path, and hcp runs the same search over both arc
-directions of each edge; only these two count visited nodes against the
-budget.  Every search uses explicit stacks, not recursion.  Verdicts and
-witnesses are deterministic, and every witness is checked once more by
+Four kinds keep searches of their own: ip01 calls `solve_ip`
+(bound-pruned, guarded by its 2^v space); dhcp walks vertex orders
+depth-first, looking ahead at the vertices left off the path, and hcp runs
+the same search over both arc directions of each edge; steiner_tree tries
+every tree in `_trees` order.  dhcp, hcp and clique_cover are not guarded:
+they refuse once the nodes visited, or the words ranked, pass the budget.
+Every search uses explicit stacks, not recursion.  Verdicts and witnesses
+are deterministic, and every witness is checked once more by
 `verify_certificate` before it is returned.
 """
 
@@ -42,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from operator import add, neg
+from operator import add
 from typing import Optional
 
 from .instances import (
@@ -98,25 +94,6 @@ def _yes(problem, value, explored):
 
 def _first(n):
     return range(1, n + 1)
-
-
-def _trees(g):
-    """Root-only trees (no edges) first, then each edge subset rooted at
-    each of its endpoints."""
-    for root in _first(g.num_vertices):
-        yield {"edges": (), "root": root}
-    for size in range(1, len(g.edges) + 1):
-        for combo in combinations(g.edges, size):
-            for root in sorted(set(v for edge in combo for v in edge)):
-                yield {"edges": combo, "root": root}
-
-
-# kind -> (payload, param) -> (size of the candidate space, candidate
-# certificate values in the order they are tried)
-CANDIDATES = {
-    "steiner_tree": lambda s, _: (
-        (1 << len(s.graph.edges)) * max(s.graph.num_vertices, 1), _trees(s.graph)),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +298,6 @@ def solve(problem, budget=DEFAULT_BUDGET):
     validate(problem)
     kind = problem.kind
     p = problem.payload
-    if kind in CANDIDATES:
-        space, candidates = CANDIDATES[kind](p, problem.param)
-        _guard(space, budget, kind)
-        is_yes = yes_test(problem)
-        explored = 0
-        for explored, value in enumerate(candidates, 1):
-            if is_yes(value):
-                return _yes(problem, value, explored)
-        return OracleVerdict(False, None, explored)
     if kind in SUBSETS:
         return _solve_subsets(problem, budget)
     if kind == "ip01":
@@ -347,42 +315,40 @@ def solve(problem, budget=DEFAULT_BUDGET):
         return _solve_chromatic(problem, budget)
     if kind == "clique_cover":
         return _solve_clique_cover(problem, budget)
+    if kind == "steiner_tree":
+        return _solve_steiner(problem, budget)
     raise UnsupportedKindError("no oracle for kind %r" % kind)
 
 
 def _solve_sat(problem, budget):
-    """Assign x1, x2, ... depth-first, False before True: the order of
-    `product((False, True), repeat=n)`.  A clause is checked once, when its
-    largest variable is set, and a branch ends when it falsifies one; every
-    assignment it skips falsifies that clause.  The witness is the first
-    satisfying assignment in that order, so its rank gives `explored`."""
-    f = problem.payload
-    n = f.num_literals
+    """Assign x1, x2, ... False (0) before True (1), the order of
+    `product((False, True), repeat=n)`.  A clause is checked when its
+    largest variable is set, and a value that falsifies it is cut."""
+    n = problem.payload.num_literals
     _guard(1 << n, budget, problem.kind)
-    # due[d]: the clauses whose largest variable is x_d, each as the set of
-    # its literals' negations, which are all true iff the clause is false
-    due = [[] for _ in range(n + 1)]
-    for c in f.clauses:
-        due[max(map(abs, c))].append(frozenset(map(neg, c)))
-    path = []  # path[i]: the literal of x_{i+1} that the assignment makes true
-    true = set()  # the literals in path
-    d = 0
-    while d < n:
-        d += 1
-        path.append(-d)
-        true.add(-d)
-        while any(map(true.issuperset, due[d])):
-            # next sibling: drop the variables already at True, then flip one
-            while path[-1] > 0:
-                true.discard(path.pop())
-                d -= 1
-                if not d:
-                    return OracleVerdict(False, None, 1 << n)
-            true.discard(-d)
-            true.add(d)
-            path[-1] = d
-    rank = sum(1 << (n - lit) for lit in path if lit > 0)
-    return _yes(problem, tuple(lit > 0 for lit in path), rank + 1)
+    # due[i]: the clauses whose largest variable is x_{i+1}, as the masks of
+    # their variables and of those negated: false iff exactly the latter hold
+    due = [[] for _ in range(n)]
+    for c in problem.payload.clauses:
+        pos = neg = 0
+        for lit in c:
+            if lit > 0:
+                pos |= 1 << lit - 1
+            else:
+                neg |= 1 << -lit - 1
+        if not pos & neg:  # x or -x is never false
+            due[(pos | neg).bit_length() - 1].append((pos | neg, neg))
+    def place(true, i, c):  # true: the mask of the variables set True
+        true |= c << i
+        for members, negated in due[i]:
+            if true & members == negated:
+                return None
+        return true
+    word, explored = _first_word(
+        n, 0, lambda _: 2, place, lambda _, i: 1 << n - 1 - i, budget, problem.kind)
+    if word is None:
+        return OracleVerdict(False, None, explored)
+    return _yes(problem, tuple(map(bool, word)), explored)
 
 
 def _solve_subsets(problem, budget):
@@ -452,6 +418,42 @@ def _lex_rank(n, subset):
         rank += comb(free, s - j) - comb(n - x, s - j)
         free = n - x - 1
     return rank
+
+
+def _first_word(n, start, letters, place, skips, budget, kind):
+    """The first word of length n, lexicographically, whose every letter
+    `place` takes, as a list, and its rank; or None and the number of
+    words.  Position i has `letters(state)` letters 0, 1, ...; `place(state,
+    i, c)` maps the state before it to the state after letter c, or to None
+    to cut c, skipping `skips(state, i)` words.  Refuses once the words
+    skipped, or the witness's rank, pass the budget."""
+    word, states = [0] * n, [start] * (n + 1)  # states[i]: the state before position i
+    i = skipped = c = 0  # c: the next letter to try at position i
+    while i < n:
+        state = states[i]
+        top, first = letters(state), c
+        while c < top:
+            new = place(state, i, c)
+            if new is not None:
+                break
+            c += 1
+        if c > first:
+            skipped += (c - first) * skips(state, i)
+        if skipped > budget:
+            raise _exceeded(kind, budget)
+        if c < top:
+            word[i] = c
+            i += 1
+            states[i] = new
+            c = 0
+        elif i:  # no letter left: the previous position's next letter
+            i -= 1
+            c = word[i] + 1
+        else:
+            return None, skipped
+    if skipped >= budget:
+        raise _exceeded(kind, budget)
+    return word, skipped + 1
 
 
 def _solve_hamiltonian(problem, budget):
@@ -536,52 +538,28 @@ def _solve_hamiltonian(problem, budget):
 
 
 def _solve_chromatic(problem, budget):
-    """Colour vertices 1..n in order, colours 1..k ascending: the order of
-    `product(range(1, k + 1), repeat=n)`.  A colour that an earlier
-    neighbour holds is cut, and every colouring it skips gives that edge's
-    ends one colour, so the first leaf is the first proper colouring.
-    `explored` is its rank, 1 + sum((c_i - 1) * k^(n - i)), or k^n on NO."""
-    g, k = problem.payload, problem.param
-    n = g.num_vertices
+    """Colour vertices 1..n in order, colours 1..k (letters 0..k-1)
+    ascending, the order of `product(range(1, k + 1), repeat=n)`.  A colour
+    that an earlier neighbour holds is cut."""
+    g, k, n = problem.payload, problem.param, problem.payload.num_vertices
     _guard(max(k, 1) ** n, budget, problem.kind)
-    earlier = [[] for _ in range(n)]  # earlier[i]: vertex i + 1's earlier neighbours
-    for u, v in g.edges:  # stored with u < v
-        earlier[v - 1].append(u - 1)
-    colors = [0] * n  # colors[i]: vertex i + 1's colour, 0 before it has one
-    i = 0
-    while i < n:
-        c = colors[i] + 1
-        taken = {colors[u] for u in earlier[i]}
-        while c in taken:
-            c += 1
-        if c > k:  # no colour left: back to the previous vertex's next colour
-            colors[i] = 0
-            i -= 1
-            if i < 0:
-                return OracleVerdict(False, None, k ** n)
-        else:
-            colors[i] = c
-            i += 1
-    rank = 0
-    for c in colors:
-        rank = rank * k + c - 1
-    return _yes(problem, tuple(colors), rank + 1)
+    earlier = _earlier(g)
+    def place(classes, i, c):  # bits n*c..n*c+n-1: the vertices of colour c + 1
+        return None if classes >> n * c & earlier[i] else classes | 1 << n * c + i
+    word, explored = _first_word(
+        n, 0, lambda _: k, place, lambda _, i: k ** (n - 1 - i), budget, problem.kind)
+    if word is None:
+        return OracleVerdict(False, None, explored)
+    return _yes(problem, tuple(c + 1 for c in word), explored)
 
 
 def _solve_clique_cover(problem, budget):
     """Place vertices 1..n in order into blocks, the restricted growth
     strings with at most `l` blocks in lexicographic order: an existing
     block, lowest first, then a new block while fewer than `l` are in use.
-    A block holding a vertex that the new one is not adjacent to is cut;
-    every string it skips puts a non-edge in one block, so the first leaf
-    is the witness.  `explored` is its rank, or on NO the number of
-    strings, counted from the strings each cut skips; the search refuses
-    as soon as that count passes the budget."""
-    g, l = problem.payload, problem.param
-    n = g.num_vertices
-    if n == 0:
-        return _yes(problem, (), 1)
-    if l == 0:
+    A block holding a non-neighbour of the vertex is cut."""
+    g, l, n = problem.payload, problem.param, problem.payload.num_vertices
+    if l == 0 < n:  # no string: a NO under any budget
         return OracleVerdict(False, None, 0)
     adj = [0] * n  # adj[i]: the mask of vertex i + 1's neighbours, bit v - 1 for v
     for u, v in g.effective_edges():
@@ -593,33 +571,39 @@ def _solve_clique_cover(problem, budget):
     for _ in range(n - 1):
         last = strings[-1]
         strings.append([j * last[j] + (last[j + 1] if j < l else 0) for j in range(l + 1)])
-    blocks, masks = [0] * n, [1]  # blocks[i]: vertex i + 1's block; masks[b]: b's vertices
-    skipped = 0  # the strings before the current branch
-    i, b = 1, 0  # the vertex to place and the first block to try
-    while i < n:
-        m, rest = len(masks), strings[n - 1 - i]
-        while b < m and masks[b] & ~adj[i]:
-            skipped += rest[m]
-            b += 1
-        if skipped > budget:
-            raise _exceeded(problem.kind, budget)
-        if b < m:
-            masks[b] |= 1 << i
-        elif b == m < l:
-            masks.append(1 << i)
-        else:  # no block left: back to the previous vertex's next block
-            i -= 1
-            if not i:
-                return OracleVerdict(False, None, skipped)
-            b = blocks[i]
-            masks[b] ^= 1 << i
-            if not masks[b]:
-                masks.pop()
-            b += 1
-            continue
-        blocks[i] = b
-        i, b = i + 1, 0
-    if skipped >= budget:
-        raise _exceeded(problem.kind, budget)
-    value = tuple(tuple(v for v in _first(n) if blocks[v - 1] == c) for c in range(len(masks)))
-    return _yes(problem, value, skipped + 1)
+    def place(blocks, i, b):  # blocks[b]: the mask of block b's vertices
+        if b == len(blocks):
+            return blocks + (1 << i,)
+        if blocks[b] & ~adj[i]:
+            return None
+        return blocks[:b] + (blocks[b] | 1 << i,) + blocks[b + 1:]
+    word, explored = _first_word(
+        n, (), lambda blocks: min(len(blocks) + 1, l), place,
+        lambda blocks, i: strings[n - 1 - i][len(blocks)], budget, problem.kind)
+    if word is None:
+        return OracleVerdict(False, None, explored)
+    value = (tuple(v for v, c in zip(_first(n), word) if c == b) for b in range(len(set(word))))
+    return _yes(problem, tuple(value), explored)
+
+
+def _trees(g):
+    """Root-only trees (no edges) first, then each edge subset rooted at
+    each of its endpoints."""
+    for root in _first(g.num_vertices):
+        yield {"edges": (), "root": root}
+    for size in range(1, len(g.edges) + 1):
+        for combo in combinations(g.edges, size):
+            for root in sorted(set(v for edge in combo for v in edge)):
+                yield {"edges": combo, "root": root}
+
+
+def _solve_steiner(problem, budget):
+    """Every candidate tree in `_trees` order."""
+    g = problem.payload.graph
+    _guard((1 << len(g.edges)) * max(g.num_vertices, 1), budget, problem.kind)
+    is_yes = yes_test(problem)
+    explored = 0
+    for explored, value in enumerate(_trees(g), 1):
+        if is_yes(value):
+            return _yes(problem, value, explored)
+    return OracleVerdict(False, None, explored)

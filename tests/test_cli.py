@@ -180,6 +180,15 @@ def test_edgelist_import(tmp_path, capsys):
     assert code == 0
 
 
+def test_edgelist_refuses_a_parameter_the_kind_does_not_take(tmp_path, capsys):
+    # dropping it silently would answer another question than the one asked
+    path = _write(tmp_path, "g.txt", "3\n1 2\n2 3\n1 3\n")
+    code, out, err = run(
+        capsys, "solve", path, "--format", "edgelist", "--kind", "hcp", "--param", "9"
+    )
+    assert (code, out, err) == (2, "", "error: hcp takes no parameter\n")
+
+
 def test_edgelist_requires_kind(tmp_path, capsys):
     path = _write(tmp_path, "g.txt", "1 2\n")
     code, _, err = run(capsys, "solve", path, "--format", "edgelist")

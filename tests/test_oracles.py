@@ -217,9 +217,9 @@ def max_cut_problems(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(cnf_problems())
-def test_sat_search_matches_the_enumerator(problem):
-    for budget in (DEFAULT_BUDGET, 40):
+@given(cnf_problems(), st.integers(0, 300))
+def test_sat_search_matches_the_enumerator(problem, drawn):
+    for budget in (DEFAULT_BUDGET, 40, 0, drawn):
         assert _record(problem, budget) == _assignments(problem, budget)
 
 
@@ -319,6 +319,13 @@ def test_sat_search_ranks_a_witness_it_never_enumerates():
     assert (v.answer, v.certificate.value, v.explored) == (True, (True,) * n, 1 << n)
 
 
+def test_sat_search_never_cuts_at_a_clause_with_x_and_not_x():
+    # x1 False falsifies (x1); x1 True must not be read as falsifying (x1, -x1)
+    for kind in ("sat", "threesat"):
+        problem = Problem(kind, CnfFormula(2, ((1, -1), (2, 1, -2), (1,))))
+        assert _record(problem, DEFAULT_BUDGET) == (True, (True, False), 3)
+
+
 def _colourings(problem, budget):
     """Colourings in `product` order, colours 1..k."""
     n, k = problem.payload.num_vertices, problem.param
@@ -326,28 +333,25 @@ def _colourings(problem, budget):
 
 
 def _growth_strings(n, l):
-    """The restricted growth strings of length n >= 1 with at most l
-    blocks, lexicographically."""
-    strings = [(0,)]
-    for _ in range(n - 1):
-        strings = [s + (b,) for s in strings for b in range(min(max(s) + 2, l))]
+    """The restricted growth strings of length n with at most l blocks,
+    lexicographically: the empty string if n = 0, none if l = 0 < n."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(min(max(s, default=-1) + 2, l))]
     return strings
 
 
 def _partitions(problem, budget):
-    """Set partitions as restricted growth strings; every string counts
-    against the budget."""
+    """Set partitions as restricted growth strings; every string, the
+    empty one too, counts against the budget."""
     n, l = problem.payload.num_vertices, problem.param
-    if n == 0:
-        return (True, (), 1)
-    if l == 0:
-        return (False, None, 0)
     is_yes = yes_test(problem)
     explored = 0
     for explored, rgs in enumerate(_growth_strings(n, l), 1):
         if explored > budget:
             return ("refused", "clique_cover search exceeded budget %d" % budget)
-        blocks = tuple(tuple(v for v in _upto(n) if rgs[v - 1] == b) for b in range(max(rgs) + 1))
+        blocks = tuple(tuple(v for v in _upto(n) if rgs[v - 1] == b)
+                       for b in range(max(rgs, default=-1) + 1))
         if is_yes(blocks):
             return (True, blocks, explored)
     return (False, None, explored)
@@ -367,7 +371,7 @@ def colouring_problems(draw, kind):
 @given(data=st.data())
 def test_colouring_search_matches_the_enumerator(kind, reference, data):
     problem = data.draw(colouring_problems(kind))
-    for budget in (DEFAULT_BUDGET, 40):
+    for budget in (DEFAULT_BUDGET, 40, 0, data.draw(st.integers(0, 300))):
         assert _record(problem, budget) == reference(problem, budget)
 
 
@@ -592,7 +596,9 @@ _PATH6_CHORD = tuple((i, i + 1) for i in range(1, 6)) + ((1, 3),)
     (Problem("clique_cover", UGraph(3, ((1, 2),)), 0), DEFAULT_BUDGET, (False, None, 0)),
     (Problem("clique_cover", UGraph(6, ()), 3), 5,
      ("refused", "clique_cover search exceeded budget 5")),
+    (Problem("clique_cover", UGraph(0, ()), 0), 0,
+     ("refused", "clique_cover search exceeded budget 0")),
 ], ids=["hcp-2", "dhcp-1", "dhcp-K6-budget", "hcp-chord-budget", "clique_cover-empty",
-        "clique_cover-l0", "clique_cover-budget"])
+        "clique_cover-l0", "clique_cover-budget", "clique_cover-empty-budget0"])
 def test_hamiltonian_and_clique_cover_edges(problem, budget, record):
     assert _record(problem, budget) == record

@@ -298,6 +298,9 @@ MALFORMED_INSTANCES = [
      "duplicate terminal"),
     (Problem("clique_cover", UGraph(2, ((1, 2),), None, "false"), 1), InvalidInstanceError,
      "complement flag must be a boolean"),
+    (Problem("hcp", _UNWEIGHTED, 7), InvalidInstanceError, "hcp takes no parameter"),
+    (Problem("job_sequencing", None, 1), InvalidInstanceError,
+     "job_sequencing takes no parameter"),
 ]
 
 
