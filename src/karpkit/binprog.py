@@ -31,10 +31,6 @@ class ContractError(ValueError):
     """An operation precondition was violated (e.g. missing slack_bound)."""
 
 
-class VarCapExceededError(RuntimeError):
-    """solve_ip refuses programs larger than its variable cap."""
-
-
 @dataclass(frozen=True)
 class VariableTag:
     """Semantic label recording which source object a variable encodes."""
@@ -185,10 +181,7 @@ def to_equality_form(program):
     return BinaryProgram(tuple(variables), tuple(rows))
 
 
-DEFAULT_VAR_CAP = 24
-
-
-def solve_ip(program, var_cap=DEFAULT_VAR_CAP):
+def solve_ip(program):
     """Exact feasibility search over binary assignments.
 
     Depth-first over x1..xv in index order, trying 0 before 1, so the first
@@ -199,16 +192,12 @@ def solve_ip(program, var_cap=DEFAULT_VAR_CAP):
     with no net coefficient in any row is set to 0 without branching.
 
     Returns that assignment as a tuple of 0/1, or None if the program is
-    infeasible.  Refuses programs with more than `var_cap` variables rather
-    than truncating the search.  The worst case still visits all 2^v
-    leaves: `oracles.solve` budgets for that and reports 2^v as `explored`
-    for ip01, which is not a count of the nodes this search visits.
+    infeasible.  The worst case visits all 2^v leaves: `oracles.solve`
+    budgets for that, refusing a program whose 2^v exceeds its budget, and
+    reports 2^v as `explored` for ip01, which is not a count of the nodes
+    this search visits.
     """
     v = program.num_variables
-    if v > var_cap:
-        raise VarCapExceededError(
-            "program has %d variables, cap is %d" % (v, var_cap)
-        )
     if v == 0:
         return () if all(r.holds(()) for r in program.rows) else None
     if not program.rows:

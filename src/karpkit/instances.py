@@ -16,7 +16,8 @@ Adding a kind: give it a `KINDS` entry, reusing a carrier or writing one
 with `validate`, `size`, `to_json` and `from_json`; then a generator branch
 and scale knob in `genlab`, an oracle (an `oracles.SUBSETS` entry, a word
 search on `oracles._first_word`, or a search of its own that ranks its
-witness) and, unless it is a kernel kind, a route in `reductions._ROUTES`.
+witness) and, unless it is a kernel kind, its one canonical reduction in
+`reductions.REDUCTIONS`: a kind reaches the kernel along that reduction.
 """
 
 from __future__ import annotations

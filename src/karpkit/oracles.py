@@ -302,7 +302,7 @@ def solve(problem, budget=DEFAULT_BUDGET):
         return _solve_subsets(problem, budget)
     if kind == "ip01":
         _guard(1 << p.num_variables, budget, kind)
-        solution = solve_ip(p, var_cap=p.num_variables)
+        solution = solve_ip(p)
         explored = 1 << p.num_variables
         if solution is None:
             return OracleVerdict(False, None, explored)

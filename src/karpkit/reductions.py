@@ -23,7 +23,6 @@ the job in O(1) extra size per constant-bounded row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 from typing import Callable, Optional
 
@@ -239,66 +238,62 @@ def reduce_set_covering_to_ip(problem):
 # ---------------------------------------------------------------------------
 
 
-def _fas_expansion(g):
-    """Expand each vertex into a forward path gadget with one attachment
-    slot per incident arc (incoming slots first, in arc-list order).
-
-    Returns (gadget slot table, arcs of the expanded graph G' with labels).
-    Each G' arc is labelled either ("orig", arc_index) or
-    ("internal", vertex, slot).
-    """
+def _fas_gadget_arcs(g):
+    """Arcs (tail slot, head slot) of the expanded graph G': vertex i becomes
+    a forward path through one slot per incident arc, in-arc slots first,
+    each in arc-list order, slots numbered from 1 vertex by vertex.  All path
+    arcs come first, vertex by vertex, then one arc per source arc, in order."""
     n = g.num_vertices
-    in_arcs = {i: [] for i in range(1, n + 1)}
-    out_arcs = {i: [] for i in range(1, n + 1)}
-    for idx, (u, v) in enumerate(g.arcs):
-        out_arcs[u].append(idx)
-        in_arcs[v].append(idx)
-    slot_id = {}
-    next_id = 0
-    for i in range(1, n + 1):
-        for s in range(1, len(in_arcs[i]) + len(out_arcs[i]) + 1):
-            next_id += 1
-            slot_id[(i, s)] = next_id
+    indeg, outdeg = [0] * (n + 1), [0] * (n + 1)
+    for u, v in g.arcs:
+        outdeg[u] += 1
+        indeg[v] += 1
     arcs = []
+    last_in, last_out = [0] * (n + 1), [0] * (n + 1)  # each vertex's last slot used
+    slot = 0
     for i in range(1, n + 1):
-        for s in range(1, len(in_arcs[i]) + len(out_arcs[i])):
-            arcs.append((("internal", i, s), slot_id[(i, s)], slot_id[(i, s + 1)]))
-    for idx, (u, v) in enumerate(g.arcs):
-        tail_slot = len(in_arcs[u]) + out_arcs[u].index(idx) + 1
-        head_slot = in_arcs[v].index(idx) + 1
-        arcs.append((("orig", idx), slot_id[(u, tail_slot)], slot_id[(v, head_slot)]))
-    return in_arcs, out_arcs, arcs
+        last_in[i], last_out[i] = slot, slot + indeg[i]
+        slot += indeg[i] + outdeg[i]
+        arcs += [(s, s + 1) for s in range(last_in[i] + 1, slot)]
+    for u, v in g.arcs:
+        last_out[u] += 1
+        last_in[v] += 1
+        arcs.append((last_out[u], last_in[v]))
+    return arcs
 
 
 def reduce_fas_to_fns(problem):
     """Sparsify via per-vertex path gadgets, then take the directed line
     graph; feedback node sets there play the role of feedback arc sets."""
     g, k = problem.payload, problem.param
-    _, _, arcs = _fas_expansion(g)
+    arcs = _fas_gadget_arcs(g)
     heads = {}
-    for node, (_, tail, head) in enumerate(arcs, start=1):
+    for node, (tail, head) in enumerate(arcs, start=1):
         heads.setdefault(tail, []).append(node)
     line_arcs = []
-    for node, (_, tail, head) in enumerate(arcs, start=1):
+    for node, (tail, head) in enumerate(arcs, start=1):
         for succ in heads.get(head, ()):
             line_arcs.append((node, succ))
     return Problem("feedback_node_set", DiGraph(len(arcs), tuple(line_arcs)), param=k)
 
 
 def lift_fas_to_fns(source, target, cert):
-    """Map chosen line-graph nodes back to arcs of the source graph;
-    gadget-internal arcs map to the first incident arc of their vertex."""
+    """Map chosen line-graph nodes back to arcs of the source graph: a node
+    past the path arcs is its original arc, and a path arc of vertex i maps
+    to i's first in-arc, or failing that its first out-arc."""
     g = source.payload
-    in_arcs, out_arcs, arcs = _fas_expansion(g)
-    chosen = set()
-    for node in cert.value:
-        label = arcs[node - 1][0]
-        if label[0] == "orig":
-            chosen.add(g.arcs[label[1]])
-        else:
-            _, vertex, _ = label
-            incident = in_arcs[vertex] + out_arcs[vertex]
-            chosen.add(g.arcs[incident[0]])
+    deg = [0] * (g.num_vertices + 1)
+    first = {}  # vertex -> the arc its path arcs lift to
+    for u, v in g.arcs:
+        deg[u] += 1
+        deg[v] += 1
+        first.setdefault(v, (u, v))
+    for u, v in g.arcs:
+        first.setdefault(u, (u, v))
+    owner = [i for i, d in enumerate(deg) for _ in range(d - 1)]  # of each path arc
+    p = len(owner)
+    chosen = {first[owner[node - 1]] if node <= p else g.arcs[node - p - 1]
+              for node in cert.value}
     return certificate(source, tuple(sorted(chosen)))
 
 
@@ -322,36 +317,31 @@ def reduce_dhcp_to_hcp(problem):
 
 
 def lift_dhcp_to_hcp(source, target, cert):
-    """Contract each 1-2-3 gadget traversal back to its source vertex."""
+    """Contract each 1-2-3 gadget traversal back to its source vertex.  If a
+    rotation of a cycle through every vertex once traverses the gadgets in
+    order, every vertex 3i-2 sits at one phase, so only the rotation from
+    the first of them needs checking."""
     order = list(cert.value)
-    n = len(order)
     for direction in (order, order[::-1]):
-        starts = [t for t in range(n) if direction[t] % 3 == 1]
-        for t in starts:
-            rotated = direction[t:] + direction[:t]
-            seq = []
-            ok = True
-            for pos in range(0, n, 3):
-                a, b, c = rotated[pos : pos + 3]
-                if b == a + 1 and c == a + 2:
-                    seq.append((a + 2) // 3)
-                else:
-                    ok = False
-                    break
-            if ok:
-                return certificate(source, tuple(seq))
+        t = next((t for t, x in enumerate(direction) if x % 3 == 1), None)
+        if t is None:
+            continue
+        rotated = direction[t:] + direction[:t]
+        seq = []
+        for pos in range(0, len(order), 3):
+            a, b, c = rotated[pos : pos + 3]
+            if b != a + 1 or c != a + 2:
+                break
+            seq.append((a + 2) // 3)
+        else:
+            return certificate(source, tuple(seq))
     raise InvalidCertificateError("cycle does not traverse gadgets in order")
 
 
 def counts_dhcp_to_hcp(source, target):
     g = source.payload
-    return [
-        (
-            "edges = e + 2N",
-            len(g.arcs) + 2 * g.num_vertices,
-            len(target.payload.edges),
-        )
-    ]
+    want = len(g.arcs) + 2 * g.num_vertices
+    return [("edges = e + 2N", want, len(target.payload.edges))]
 
 
 # ---------------------------------------------------------------------------
@@ -614,19 +604,19 @@ def counts_max_cut(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_chromatic_to_clique_cover(problem, mode="dense"):
-    """Complement the graph; colour classes become cliques.  Dense mode
-    materialises every complement edge, compressed mode stores the original
-    graph with a complement flag."""
-    g, k = problem.payload, problem.param
-    compressed = UGraph(g.num_vertices, g.edges, complement=True)
-    if mode == "dense":
-        target_graph = UGraph(g.num_vertices, compressed.effective_edges())
-    elif mode == "compressed":
-        target_graph = compressed
-    else:
-        raise ValueError("mode must be 'dense' or 'compressed'")
-    return Problem("clique_cover", target_graph, param=k)
+def _reduce_chromatic_compressed(problem):
+    """Complement the graph by storing it with the complement flag set;
+    colour classes become cliques."""
+    g = problem.payload
+    graph = UGraph(g.num_vertices, g.edges, complement=True)
+    return Problem("clique_cover", graph, param=problem.param)
+
+
+def reduce_chromatic_to_clique_cover(problem):
+    """The compressed image with every complement edge materialised."""
+    g = _reduce_chromatic_compressed(problem).payload
+    return Problem("clique_cover", UGraph(g.num_vertices, g.effective_edges()),
+                   param=problem.param)
 
 
 def lift_chromatic_to_clique_cover(source, target, cert):
@@ -678,11 +668,10 @@ REDUCTIONS = {
         ReductionSpec("max_cut_to_ip", "max_cut", "ip01", reduce_max_cut_to_ip,
                       _tagged("vertex", picked=0), (9.0, 1.0), counts_max_cut),
         ReductionSpec("chromatic_to_clique_cover", "chromatic_number", "clique_cover",
-                      partial(reduce_chromatic_to_clique_cover, mode="dense"),
-                      lift_chromatic_to_clique_cover, (1.0, 1.0)),
+                      reduce_chromatic_to_clique_cover, lift_chromatic_to_clique_cover,
+                      (1.0, 1.0)),
         ReductionSpec("chromatic_to_clique_cover_compressed", "chromatic_number",
-                      "clique_cover",
-                      partial(reduce_chromatic_to_clique_cover, mode="compressed"),
+                      "clique_cover", _reduce_chromatic_compressed,
                       lift_chromatic_to_clique_cover, (1.0, 1.0)),
     )
 }
@@ -748,29 +737,18 @@ def _lift_stages(chain, stages, cert):
     return cert
 
 
-_ROUTES = {
-    "sat": ("sat_to_3sat", "threesat_to_ip"),
-    "threesat": ("threesat_to_ip",),
-    "clique": ("clique_to_ip",),
-    "set_packing": ("set_packing_to_ip",),
-    "node_cover": ("node_cover_to_set_covering", "set_covering_to_ip"),
-    "set_covering": ("set_covering_to_ip",),
-    "feedback_arc_set": ("fas_to_fns",),
-    "dhcp": ("dhcp_to_hcp",),
-    "exact_cover": ("exact_cover_to_ip",),
-    "hitting_set": ("hitting_set_to_ip",),
-    "steiner_tree": ("steiner_tree_to_ip",),
-    "three_dim_matching": ("three_dim_matching_to_ip",),
-    "knapsack": ("knapsack_to_ip",),
-    "partition": ("partition_to_knapsack", "knapsack_to_ip"),
-    "max_cut": ("max_cut_to_ip",),
-}
+# kind -> its one canonical reduction; a kind's route follows these
+_CANONICAL_FROM = {REDUCTIONS[name].source_kind: REDUCTIONS[name]
+                   for name in CANONICAL_REDUCTIONS}
 
 
 def route_to_kernel(kind):
-    """Chain taking any of the 21 problem kinds to a kernel kind."""
+    """Chain taking any of the 21 problem kinds to a kernel kind, along each
+    kind's one canonical reduction."""
     if kind not in KINDS:
         raise UnsupportedKindError("unknown kind %r" % kind)
-    if kind in KERNEL_KINDS:
-        return ReductionChain(())
-    return chain_from_names(_ROUTES[kind])
+    steps = []
+    while kind not in KERNEL_KINDS:
+        steps.append(_CANONICAL_FROM[kind])
+        kind = steps[-1].target_kind
+    return ReductionChain(tuple(steps))

@@ -12,7 +12,6 @@ from karpkit.binprog import (
     BinaryProgram,
     ConstraintRow,
     ContractError,
-    VarCapExceededError,
     VariableTag,
     num_slacks,
     solve_ip,
@@ -42,7 +41,7 @@ def test_le5_row_gets_three_powers_of_two_slacks():
     # sum x_i <= 5 over five variables, gap 5 -> slacks 1, 2, 4
     row = ConstraintRow(tuple((i, 1) for i in range(5)), LE, 5, 5)
     eq = to_equality_form(_prog(5, [row]))
-    assert eq.is_equality_form
+    assert eq.is_equality_form()
     slack_terms = eq.rows[0].terms[5:]
     assert [c for _, c in slack_terms] == [1, 2, 4]
     assert all(eq.variables[i].origin[0] == "slack" for i, _ in slack_terms)
@@ -160,12 +159,6 @@ def test_solve_ip_infeasible_rhs():
     assert solve_ip(prog) is None
 
 
-def test_solve_ip_var_cap():
-    prog = _prog(30, [ConstraintRow(((0, 1),), EQ, 1, None)])
-    with pytest.raises(VarCapExceededError):
-        solve_ip(prog, var_cap=24)
-
-
 def _brute_force(prog):
     """Reference solver: the lexicographically first satisfying assignment."""
     for x in product((0, 1), repeat=prog.num_variables):
@@ -236,7 +229,7 @@ def test_solve_ip_depth_beyond_recursion_limit():
     # oracles.solve admits any v its budget covers; the search must not recurse
     n = 3000
     rows = [ConstraintRow(((i, 1), (i + 1, 1)), EQ, 1, None) for i in range(n - 1)]
-    assert solve_ip(_prog(n, rows), var_cap=n) == (0, 1) * (n // 2)
+    assert solve_ip(_prog(n, rows)) == (0, 1) * (n // 2)
 
 
 def test_solve_ip_steiner_image_matches_brute_force():

@@ -189,6 +189,23 @@ def test_edgelist_refuses_a_parameter_the_kind_does_not_take(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: hcp takes no parameter\n")
 
 
+def test_edgelist_four_column_line_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "g.txt", "3\n1 2\n1 2 3 4\n")
+    code, out, err = run(
+        capsys, "solve", path, "--format", "edgelist", "--kind", "hcp"
+    )
+    assert (code, out, err) == (2, "", "error: malformed edge line: '1 2 3 4'\n")
+
+
+def test_max_cut_edge_without_weight_is_a_usage_error(capsys, monkeypatch):
+    text = ('{"kind": "max_cut", "payload": '
+            '{"graph": {"num_vertices": 2, "edges": [[1, 2]]}, "W": 1}}')
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "solve", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: weighted graph requires a weight column on every edge\n"
+
+
 def test_edgelist_requires_kind(tmp_path, capsys):
     path = _write(tmp_path, "g.txt", "1 2\n")
     code, _, err = run(capsys, "solve", path, "--format", "edgelist")
@@ -395,6 +412,19 @@ def test_lift_refuses_certificate_that_does_not_verify(tmp_path, capsys):
     code, out, err = run(capsys, "lift", "--chain", chain, "--cert", cert)
     assert code == 1 and out == ""
     assert "does not verify for the chain's final instance" in err
+
+
+def test_lift_whose_lifted_certificate_does_not_verify_exits_one(tmp_path, capsys):
+    # the figure-8 image is YES with one hub node, whose lifted single arc
+    # leaves a cycle of the source (README "Known limitations")
+    source = loads_problem(
+        '{"kind": "feedback_arc_set", "payload": {"graph": {"num_vertices": 3, '
+        '"arcs": [[1, 2], [2, 1], [1, 3], [3, 1]]}, "k": 1}}')
+    chain = _lift_manifest(tmp_path, source, ("fas_to_fns",))
+    image = apply_chain(chain_from_names(("fas_to_fns",)), source)[-1]
+    cert = _write(tmp_path, "c.json", dumps_certificate(solve(image).certificate))
+    code, out, err = run(capsys, "lift", "--chain", chain, "--cert", cert)
+    assert (code, out, err) == (1, "", "lifted certificate does not verify\n")
 
 
 def test_lift_applies_each_step_once(tmp_path, capsys, monkeypatch):

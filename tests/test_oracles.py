@@ -584,6 +584,7 @@ def test_golden_verdicts_witnesses_and_explored(kind):
 
 _K6_ARCS = tuple((i, j) for i in range(1, 7) for j in range(1, 7) if i != j)
 _PATH6_CHORD = tuple((i, i + 1) for i in range(1, 6)) + ((1, 3),)
+_K4 = UGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
 
 
 @pytest.mark.parametrize("problem, budget, record", [
@@ -598,7 +599,12 @@ _PATH6_CHORD = tuple((i, i + 1) for i in range(1, 6)) + ((1, 3),)
      ("refused", "clique_cover search exceeded budget 5")),
     (Problem("clique_cover", UGraph(0, ()), 0), 0,
      ("refused", "clique_cover search exceeded budget 0")),
+    (Problem("hcp", _K4), 1, ("refused", "hcp search exceeded budget 1")),
+    (Problem("hcp", _K4), 2, ("refused", "hcp search exceeded budget 2")),
+    (Problem("hcp", _K4), 3, ("refused", "hcp search exceeded budget 3")),
+    (Problem("hcp", _K4), 4, (True, (1, 2, 3, 4), 4)),
 ], ids=["hcp-2", "dhcp-1", "dhcp-K6-budget", "hcp-chord-budget", "clique_cover-empty",
-        "clique_cover-l0", "clique_cover-budget", "clique_cover-empty-budget0"])
+        "clique_cover-l0", "clique_cover-budget", "clique_cover-empty-budget0",
+        "hcp-K4-budget1", "hcp-K4-budget2", "hcp-K4-budget3", "hcp-K4-budget4"])
 def test_hamiltonian_and_clique_cover_edges(problem, budget, record):
     assert _record(problem, budget) == record

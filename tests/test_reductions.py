@@ -14,11 +14,14 @@ from karpkit.instances import (
     CnfFormula,
     DiGraph,
     IntegerList,
+    InvalidCertificateError,
     Problem,
     SetFamily,
     SteinerInstance,
     TripleFamily,
     UGraph,
+    UnsupportedKindError,
+    certificate,
     measure_input_size,
     verify_certificate,
 )
@@ -225,16 +228,29 @@ def test_fas_two_cycle():
 
 
 def test_fas_expansion_size_bounds():
-    from karpkit.reductions import _fas_expansion
+    from karpkit.reductions import _fas_gadget_arcs
 
     g = DiGraph(4, ((1, 2), (2, 3), (3, 4), (4, 1), (2, 4)))
     p = Problem("feedback_arc_set", g, param=2)
     t = R["fas_to_fns"].apply(p)
     e = len(g.arcs)
-    in_arcs, out_arcs, arcs = _fas_expansion(g)
-    slots = sum(len(in_arcs[v]) + len(out_arcs[v]) for v in in_arcs)
-    assert slots <= 2 * e  # expanded graph vertices
+    slots = {s for arc in _fas_gadget_arcs(g) for s in arc}
+    assert len(slots) <= 2 * e  # expanded graph vertices
     assert len(t.payload.arcs) <= 12 * e
+
+
+def test_fas_lift_decodes_path_and_original_arc_nodes():
+    # 2-cycle image: nodes 1, 2 are the path arcs of vertices 1, 2, and
+    # nodes 3, 4 the original arcs (1,2), (2,1)
+    p = Problem("feedback_arc_set", DiGraph(2, ((1, 2), (2, 1))), param=1)
+    t = R["fas_to_fns"].apply(p)
+    lift = R["fas_to_fns"].lift
+    assert lift(p, t, certificate(t, (4,))).value == ((2, 1),)
+    assert lift(p, t, certificate(t, (1, 2))).value == ((1, 2), (2, 1))
+    # a vertex with no in-arc maps its path arcs to its first out-arc
+    p = Problem("feedback_arc_set", DiGraph(3, ((1, 2), (1, 3))), param=0)
+    t = R["fas_to_fns"].apply(p)
+    assert lift(p, t, certificate(t, (1,))).value == ((1, 2),)
 
 
 def test_fas_figure_eight_answers_diverge():
@@ -265,6 +281,24 @@ def test_dhcp_two_cycle():
     p = Problem("dhcp", DiGraph(2, ((1, 2), (2, 1))))
     t = _agree("dhcp_to_hcp", p)
     assert t.payload.num_vertices == 6
+
+
+@pytest.mark.parametrize("cycle, lifted", [
+    ((5, 6, 7, 8, 9, 1, 2, 3, 4), (3, 1, 2)),  # rotated
+    ((9, 8, 7, 6, 5, 4, 3, 2, 1), (1, 2, 3)),  # reversed
+    ((6, 5, 4, 3, 2, 1, 9, 8, 7), (3, 1, 2)),  # reversed and rotated
+    ((1, 3, 2, 4, 5, 6, 7, 8, 9), None),  # a gadget out of order
+])
+def test_dhcp_lift_rotations_and_reversals(cycle, lifted):
+    p = Problem("dhcp", DiGraph(3, ((1, 2), (2, 3), (3, 1))))
+    t = R["dhcp_to_hcp"].apply(p)
+    cert = certificate(t, cycle)
+    if lifted is None:
+        with pytest.raises(InvalidCertificateError) as exc:
+            R["dhcp_to_hcp"].lift(p, t, cert)
+        assert str(exc.value) == "cycle does not traverse gadgets in order"
+    else:
+        assert R["dhcp_to_hcp"].lift(p, t, cert).value == lifted
 
 
 def test_dhcp_no_cycle_stays_no():
@@ -315,6 +349,16 @@ def test_steiner_counts_with_generous_budget():
     p = Problem("steiner_tree", SteinerInstance(g, (1, 3), 10))
     t = R["steiner_tree_to_ip"].apply(p)
     assert _nonzeros(t.payload) == 4 * 3 + 7 * 2
+
+
+def test_steiner_counts_with_budget_row():
+    # a budget below the total weight adds the budget row's two terms per
+    # weighted edge
+    p = generate(GeneratorSpec("steiner_tree", 3, {"vertices": 5, "budget": 1}))
+    assert p.payload.budget < sum(p.payload.graph.weights)
+    spec = R["steiner_tree_to_ip"]
+    assert spec.count_checks(p, spec.apply(p)) == [
+        ("nonzeros = 4N + 7e (budget row extra)", 92, 92)]
 
 
 def test_steiner_fake_two_cycle_counterexample():
@@ -401,10 +445,10 @@ def test_chromatic_k3_dense():
 def test_chromatic_complement_involution():
     g = UGraph(4, ((1, 2), (3, 4)))
     p = Problem("chromatic_number", g, param=2)
-    once = reduce_chromatic_to_clique_cover(p, "dense").payload
+    once = reduce_chromatic_to_clique_cover(p).payload
     twice_p = Problem("chromatic_number", once, param=2)
     assert set(
-        reduce_chromatic_to_clique_cover(twice_p, "dense").payload.edges
+        reduce_chromatic_to_clique_cover(twice_p).payload.edges
     ) == set(g.edges)
 
 
@@ -519,12 +563,20 @@ def test_route_examples():
 
 
 def test_route_all_kinds_end_in_kernel():
+    # routes are read off the reduction tree: each non-kernel kind is the
+    # source of exactly one canonical reduction
     from karpkit.instances import KINDS
 
     for kind in KINDS:
+        sources = [n for n in CANONICAL_REDUCTIONS if R[n].source_kind == kind]
+        assert kind in KERNEL_KINDS or len(sources) == 1, kind
         chain = route_to_kernel(kind)
+        assert set(chain.names) <= set(CANONICAL_REDUCTIONS), kind
         end = chain.steps[-1].target_kind if chain.steps else kind
         assert end in KERNEL_KINDS, kind
+    with pytest.raises(UnsupportedKindError) as exc:
+        route_to_kernel("nope")
+    assert str(exc.value) == "unknown kind 'nope'"
 
 
 # ---------------------------------------------------------------------------

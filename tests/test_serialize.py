@@ -86,13 +86,20 @@ def test_parse_dimacs():
     assert p.payload.clauses == ((1, -2), (2, 3))
 
 
+def test_parse_dimacs_without_header_or_final_zero():
+    # the literal count is the largest literal, and the last clause ends
+    # with the input
+    p = parse_dimacs_cnf("1 -2 0\n2 3\n")
+    assert p.payload == CnfFormula(3, ((1, -2), (2, 3)))
+
+
 def test_parse_dimacs_bad_header():
     with pytest.raises(ValueError):
         parse_dimacs_cnf("p graph 3 2\n1 2 0\n")
 
 
 def test_parse_edge_list_plain():
-    p = parse_edge_list("4\n1 2\n2 3 # chord\n", "hcp")
+    p = parse_edge_list("# a path\n4\n1 2\n2 3 # chord\n", "hcp")
     assert p.payload.num_vertices == 4
     assert p.payload.edges == ((1, 2), (2, 3))
 
