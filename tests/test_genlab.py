@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from karpkit.genlab import (
 from karpkit.instances import KINDS, measure_input_size, validate
 from karpkit.oracles import solve
 from karpkit.reductions import REDUCTIONS
+from karpkit.serialize import dumps_problem
 
 GENERATED_KINDS = tuple(k for k in KINDS if k != "job_sequencing")
 
@@ -177,3 +180,49 @@ def test_growing_counts_keeps_earlier_items():
         assert gen("exact_cover", universe=6, sets=9).sets[:4] == small
         small = gen("ip01", variables=6, rows=3).rows
         assert gen("ip01", variables=6, rows=7).rows[:3] == small
+
+
+# the parameter sets of the generation golden; each kind reads only its own keys
+GOLDEN_PARAMS = (
+    {},
+    {"param": 0, "budget": 3, "target": 5},
+    {"terminals": 2},
+    {"generous_budget": True, "literals": 2},
+    {"max_terms": 9, "param": -1},
+    {"density": 0.9, "max_weight": 2, "max_clause": 2, "universe": 4},
+)
+# sha256 over the dumps_problem bytes, or the exception's type and message,
+# of generate(scaled_spec(...)) for every kind and one unknown kind, seeds
+# 0-7, the GOLDEN_PARAMS sets and scales None (unscaled), 3 and 7
+GENERATION_DIGEST = "5aa0b5f6c596baa0406d816d660deb281379d9aed8b4036fc18233404b25b3d7"
+
+
+def test_generation_golden():
+    h = hashlib.sha256()
+    for kind in (*KINDS, "nope"):
+        for seed in range(8):
+            for params in GOLDEN_PARAMS:
+                for scale in (None, 3, 7):
+                    spec = GeneratorSpec(kind, seed, params)
+                    try:
+                        if scale is not None:
+                            spec = scaled_spec(spec, scale)
+                        record = dumps_problem(generate(spec))
+                    except (KeyError, ValueError) as e:
+                        record = "%s: %s" % (type(e).__name__, e)
+                    h.update(record.encode() + b"\n")
+    assert h.hexdigest() == GENERATION_DIGEST
+
+
+def test_scale_param_table():
+    assert SCALE_PARAM == {
+        "sat": "clauses", "threesat": "clauses",
+        "clique": "vertices", "node_cover": "vertices",
+        "chromatic_number": "vertices", "clique_cover": "vertices",
+        "hcp": "vertices", "max_cut": "vertices", "dhcp": "vertices",
+        "feedback_arc_set": "vertices", "feedback_node_set": "vertices",
+        "set_packing": "sets", "set_covering": "sets",
+        "exact_cover": "sets", "hitting_set": "sets",
+        "steiner_tree": "vertices", "three_dim_matching": "t_size",
+        "knapsack": "items", "partition": "items",
+    }
