@@ -198,11 +198,6 @@ def solve_ip(program):
     this search visits.
     """
     v = program.num_variables
-    if v == 0:
-        return () if all(r.holds(()) for r in program.rows) else None
-    if not program.rows:
-        return (0,) * v
-
     # lo[r]/hi[r]: fixed part of row r plus the negative/positive
     # coefficients of its unset variables.  Activity stays in [lb, ub].
     m = len(program.rows)

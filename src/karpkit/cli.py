@@ -127,8 +127,7 @@ def cmd_lift(args):
     chain = chain_from_names(names)
     cert = serialize.loads_certificate(_read_text(args.cert))
     stages = apply_chain(chain, source)
-    # the lifts index into the certificate: check it against the instance it
-    # claims to witness first (a malformed one raises, a usage error)
+    # a malformed certificate raises (a usage error); one that is no witness is NO
     if not verify_certificate(stages[-1], cert):
         print("certificate does not verify for the chain's final instance",
               file=sys.stderr)

@@ -12,6 +12,10 @@ or IP row, and 3DM triples one after another.  A GeneratorSpec therefore
 always reproduces the identical instance, and growing a scale parameter
 extends the instance without re-rolling the items already present, so
 element-mode size never shrinks as scale grows.
+
+A kind's carrier picks its builder and its scale rule from `_CARRIERS`,
+and a builder draws a parameter only for a kind whose `KINDS` entry names
+one, so a kind that reuses a carrier needs no edit here.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .binprog import BinaryProgram, ConstraintRow, VariableTag
 from .instances import (
     CnfFormula,
     DiGraph,
+    KINDS,
     IntegerList,
     Problem,
     SetFamily,
@@ -85,9 +90,7 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
     def with_params(self, **overrides):
-        merged = dict(self.params)
-        merged.update(overrides)
-        return GeneratorSpec(self.kind, self.seed, merged)
+        return GeneratorSpec(self.kind, self.seed, {**self.params, **overrides})
 
 
 def _connected_graph(seed, n, density):
@@ -159,149 +162,126 @@ def _triples(seed, t, count):
     return tuple(sorted(triples))
 
 
+def _param(kind, p, top, low, high):
+    """The given parameter, else one drawn from `top` in low..high; None,
+    with no draw, for a kind whose `KINDS` entry names no parameter."""
+    if KINDS[kind].param is None:
+        return None
+    return p["param"] if "param" in p else _int(top, low, high)
+
+
+def _cnf(kind, seed, p, top):
+    n = p.get("clauses", 4)
+    m = p.get("literals", max(3, n))
+    if kind == "threesat":
+        sizes = [min(3, m)] * n
+    else:
+        drawn = _ints(_stream(seed, "csize").random(n), 1, p.get("max_clause", 5))
+        sizes = np.minimum(drawn, m).tolist()
+    return Problem(kind, CnfFormula(m, _clauses(seed, m, sizes)))
+
+
+def _ugraph(kind, seed, p, top):
+    n = p.get("vertices", 5)
+    edges = _connected_graph(seed, n, p.get("density", 0.5))
+    if not KINDS[kind].weighted:
+        return Problem(kind, UGraph(n, edges), _param(kind, p, top, 1, n))
+    weights = _edge_weights(seed, n, edges, p.get("max_weight", 5))
+    return Problem(kind, UGraph(n, edges, weights), _param(kind, p, top, 0, sum(weights)))
+
+
+def _digraph(kind, seed, p, top):
+    n = p.get("vertices", 5)
+    g = DiGraph(n, _digraph_with_cycles(seed, n, p.get("density", 0.3)))
+    return Problem(kind, g, _param(kind, p, top, 0, max(1, len(g.arcs) // 2)))
+
+
+def _set_family(kind, seed, p, top):
+    universe, num_sets = p.get("universe", 5), p.get("sets", 4)
+    fam = SetFamily(universe, _random_family(seed, universe, num_sets, p.get("max_set", 3)))
+    return Problem(kind, fam, _param(kind, p, top, 1, num_sets))
+
+
+def _steiner(kind, seed, p, top):
+    n, max_weight = p.get("vertices", 4), p.get("max_weight", 4)
+    edges = _connected_graph(seed, n, p.get("density", 0.5))
+    weights = _edge_weights(seed, n, edges, max_weight)
+    # the terminal count is drawn from `top` even when given, so the budget
+    # drawn after it is the same either way
+    count = p.get("terminals", _int(top, 1, n))
+    terminals = _stream(seed, "terminals").choice(np.arange(1, n + 1), min(count, n), False)
+    total = sum(weights)
+    if p.get("generous_budget"):
+        budget = total + _int(top, 0, max_weight)
+    else:
+        budget = p.get("budget", _int(top, 0, total))
+    return Problem(kind, SteinerInstance(
+        UGraph(n, edges, weights), tuple(sorted(terminals.tolist())), budget))
+
+
+def _triple_family(kind, seed, p, top):
+    t = p.get("t_size", 3)
+    return Problem(kind, TripleFamily(t, _triples(seed, t, p.get("triples", max(t, 4)))))
+
+
+def _integer_list(kind, seed, p, top):
+    u = _stream(seed, "item").random(p.get("items", 6))
+    values = tuple(_ints(u, 1, p.get("max_value", 12)).tolist())
+    target = p.get("target", _int(top, 0, sum(values))) if kind == "knapsack" else None
+    return Problem(kind, IntegerList(values, target))
+
+
+def _binary_program(kind, seed, p, top):
+    v = p.get("variables", 6)
+    max_terms = p.get("max_terms", min(4, v))
+    if not 1 <= max_terms <= v:
+        raise ValueError("max_terms must lie in 1..variables")
+    # row r: a term count, v variable keys, max_terms coefficients
+    # (0 read as 1) and the rhs, from one row of uniforms
+    u = _stream(seed, "row").random((p.get("rows", 3), v + max_terms + 2))
+    counts = _ints(u[:, 0], 1, max_terms).tolist()
+    coefs = _ints(u[:, v + 1:-1], -2, 2).tolist()
+    rhs = _ints(u[:, -1], 0, np.array(counts)).tolist()
+    out_rows = [
+        ConstraintRow(
+            tuple((x - 1, c or 1) for x, c in zip(sorted(chosen), row_coefs)),
+            "=", b, None,
+        )
+        for chosen, row_coefs, b in zip(_ranked(u[:, 1:v + 1], counts), coefs, rhs)
+    ]
+    variables = tuple(VariableTag(("x", i)) for i in range(1, v + 1))
+    return Problem(kind, BinaryProgram(variables, tuple(out_rows)))
+
+
+# carrier -> the builder of its kinds' instances, and the scale rule of
+# those kinds: the knob they expose to the growth auditor and the
+# parameters that track the scale s (None: the kinds have no knob)
+_CARRIERS = {
+    CnfFormula: (_cnf, "clauses", lambda s: {"literals": max(3, s)}),
+    UGraph: (_ugraph, "vertices", lambda s: {}),
+    DiGraph: (_digraph, "vertices", lambda s: {}),
+    SetFamily: (_set_family, "sets", lambda s: {"universe": max(3, s)}),
+    SteinerInstance: (_steiner, "vertices", lambda s: {}),
+    TripleFamily: (_triple_family, "t_size", lambda s: {"triples": 2 * s}),
+    IntegerList: (_integer_list, "items", lambda s: {}),
+    BinaryProgram: (_binary_program, None, None),
+}
+
+
 def generate(spec):
     """Build a valid instance from a generator spec; a pure function of the
     (kind, seed, params) triple."""
-    kind = spec.kind
-    seed = spec.seed
-    p = dict(spec.params)
-    top = _stream(seed, "top")
-
-    if kind in ("sat", "threesat"):
-        n = p.get("clauses", 4)
-        m = p.get("literals", max(3, n))
-        if kind == "threesat":
-            sizes = [min(3, m)] * n
-        else:
-            drawn = _ints(_stream(seed, "csize").random(n), 1, p.get("max_clause", 5))
-            sizes = np.minimum(drawn, m).tolist()
-        return validate(Problem(kind, CnfFormula(m, _clauses(seed, m, sizes))))
-
-    if kind in ("clique", "node_cover", "chromatic_number", "clique_cover"):
-        n = p.get("vertices", 5)
-        density = p.get("density", 0.5)
-        g = UGraph(n, _connected_graph(seed, n, density))
-        param = p.get("param", _int(top, 1, n))
-        return validate(Problem(kind, g, param=param))
-
-    if kind == "hcp":
-        n = p.get("vertices", 5)
-        density = p.get("density", 0.5)
-        return validate(Problem(kind, UGraph(n, _connected_graph(seed, n, density))))
-
-    if kind == "max_cut":
-        n = p.get("vertices", 5)
-        density = p.get("density", 0.5)
-        max_weight = p.get("max_weight", 5)
-        edges = _connected_graph(seed, n, density)
-        weights = _edge_weights(seed, n, edges, max_weight)
-        total = sum(weights)
-        param = p.get("param", _int(top, 0, total))
-        return validate(Problem(kind, UGraph(n, edges, weights), param=param))
-
-    if kind in ("dhcp", "feedback_arc_set", "feedback_node_set"):
-        n = p.get("vertices", 5)
-        density = p.get("density", 0.3)
-        g = DiGraph(n, _digraph_with_cycles(seed, n, density))
-        if kind == "dhcp":
-            return validate(Problem(kind, g))
-        param = p.get("param", _int(top, 0, max(1, len(g.arcs) // 2)))
-        return validate(Problem(kind, g, param=param))
-
-    if kind in ("set_packing", "set_covering", "exact_cover", "hitting_set"):
-        universe = p.get("universe", 5)
-        num_sets = p.get("sets", 4)
-        max_set = p.get("max_set", 3)
-        fam = SetFamily(universe, _random_family(seed, universe, num_sets, max_set))
-        if kind in ("set_packing", "set_covering"):
-            return validate(
-                Problem(kind, fam, param=p.get("param", _int(top, 1, num_sets)))
-            )
-        return validate(Problem(kind, fam))
-
-    if kind == "steiner_tree":
-        n = p.get("vertices", 4)
-        density = p.get("density", 0.5)
-        max_weight = p.get("max_weight", 4)
-        edges = _connected_graph(seed, n, density)
-        weights = _edge_weights(seed, n, edges, max_weight)
-        g = UGraph(n, edges, weights)
-        num_terminals = p.get("terminals", _int(top, 1, n))
-        terminals = sorted(
-            int(x)
-            for x in _stream(seed, "terminals").choice(
-                np.arange(1, n + 1), size=min(num_terminals, n), replace=False
-            )
-        )
-        total = sum(weights)
-        if p.get("generous_budget"):
-            budget = total + _int(top, 0, max_weight)
-        else:
-            budget = p.get("budget", _int(top, 0, total))
-        return validate(Problem(kind, SteinerInstance(g, tuple(terminals), budget)))
-
-    if kind == "three_dim_matching":
-        t = p.get("t_size", 3)
-        count = p.get("triples", max(t, 4))
-        return validate(Problem(kind, TripleFamily(t, _triples(seed, t, count))))
-
-    if kind in ("knapsack", "partition"):
-        r = p.get("items", 6)
-        max_value = p.get("max_value", 12)
-        values = tuple(_ints(_stream(seed, "item").random(r), 1, max_value).tolist())
-        if kind == "partition":
-            return validate(Problem(kind, IntegerList(values)))
-        target = p.get("target", _int(top, 0, sum(values)))
-        return validate(Problem(kind, IntegerList(values, target)))
-
-    if kind == "ip01":
-        v = p.get("variables", 6)
-        rows = p.get("rows", 3)
-        max_terms = p.get("max_terms", min(4, v))
-        if not 1 <= max_terms <= v:
-            raise ValueError("max_terms must lie in 1..variables")
-        # row r: a term count, v variable keys, max_terms coefficients
-        # (0 read as 1) and the rhs, from one row of uniforms
-        u = _stream(seed, "row").random((rows, v + max_terms + 2))
-        counts = _ints(u[:, 0], 1, max_terms).tolist()
-        coefs = _ints(u[:, v + 1:-1], -2, 2).tolist()
-        rhs = _ints(u[:, -1], 0, np.array(counts)).tolist()
-        out_rows = [
-            ConstraintRow(
-                tuple((x - 1, c or 1) for x, c in zip(sorted(chosen), row_coefs)),
-                "=", b, None,
-            )
-            for chosen, row_coefs, b in zip(_ranked(u[:, 1:v + 1], counts), coefs, rhs)
-        ]
-        prog = BinaryProgram(
-            tuple(VariableTag(("x", i)) for i in range(1, v + 1)), tuple(out_rows)
-        )
-        return validate(Problem("ip01", prog))
-
-    raise ValueError("no generator for kind %r" % kind)
+    carrier = getattr(KINDS.get(spec.kind), "carrier", None)
+    if carrier is None:
+        raise ValueError("no generator for kind %r" % spec.kind)
+    build = _CARRIERS[carrier][0]
+    return validate(build(spec.kind, spec.seed, spec.params, _stream(spec.seed, "top")))
 
 
-# the single scale knob each kind exposes to the growth auditor
+# kind -> the single scale knob it exposes to the growth auditor
 SCALE_PARAM = {
-    "sat": "clauses",
-    "threesat": "clauses",
-    "clique": "vertices",
-    "node_cover": "vertices",
-    "chromatic_number": "vertices",
-    "clique_cover": "vertices",
-    "hcp": "vertices",
-    "max_cut": "vertices",
-    "dhcp": "vertices",
-    "feedback_arc_set": "vertices",
-    "feedback_node_set": "vertices",
-    "set_packing": "sets",
-    "set_covering": "sets",
-    "exact_cover": "sets",
-    "hitting_set": "sets",
-    "steiner_tree": "vertices",
-    "three_dim_matching": "t_size",
-    "knapsack": "items",
-    "partition": "items",
+    kind: _CARRIERS[k.carrier][1] for kind, k in KINDS.items()
+    if k.carrier is not None and _CARRIERS[k.carrier][1]
 }
 
 
@@ -309,12 +289,5 @@ def scaled_spec(spec, scale):
     """Re-parameterise a spec at a scale point; auxiliary parameters that
     must track the scale are adjusted alongside."""
     knob = SCALE_PARAM[spec.kind]
-    overrides = {knob: scale}
-    if spec.kind in ("sat", "threesat"):
-        overrides["literals"] = max(3, scale)
-    if spec.kind in ("set_packing", "set_covering", "exact_cover", "hitting_set"):
-        overrides["universe"] = max(3, scale)
-        overrides["sets"] = scale
-    if spec.kind == "three_dim_matching":
-        overrides["triples"] = 2 * scale
-    return spec.with_params(**overrides)
+    track = _CARRIERS[KINDS[spec.kind].carrier][2]
+    return spec.with_params(**{knob: scale}, **track(scale))

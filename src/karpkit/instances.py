@@ -12,12 +12,11 @@ itself in both size modes and converts itself to and from JSON, so
 `validate`, `measure_input_size` and `serialize` read the table and never
 branch on a kind.
 
-Adding a kind: give it a `KINDS` entry, reusing a carrier or writing one
-with `validate`, `size`, `to_json` and `from_json`; then a generator branch
-and scale knob in `genlab`, an oracle (an `oracles.SUBSETS` entry, a word
-search on `oracles._first_word`, or a search of its own that ranks its
-witness) and, unless it is a kernel kind, its one canonical reduction in
-`reductions.REDUCTIONS`: a kind reaches the kernel along that reduction.
+Adding a kind: give it a `KINDS` entry, reusing a carrier (then `genlab`
+needs no edit) or writing one with `validate`, `size`, `to_json`, `from_json`
+and a builder and scale rule in `genlab._CARRIERS`; its one `oracles.ORACLES`
+entry; and, unless it is a kernel kind, its one canonical reduction in
+`reductions.REDUCTIONS`, along which it reaches the kernel.
 """
 
 from __future__ import annotations
@@ -889,20 +888,25 @@ def yes_test(problem):
     return KINDS[problem.kind].certificate[2](problem)
 
 
+def _check_certificate(problem, cert):
+    """Refuse a certificate of the wrong kind or shape for the instance."""
+    kind = problem.kind
+    spec = KINDS.get(kind)
+    if spec is None or spec.certificate is None:
+        raise UnsupportedKindError("no certificate shape for kind %r" % kind)
+    cert_kind, shape, _ = spec.certificate
+    if cert.kind != cert_kind:
+        raise TypeError(
+            "certificate kind %r does not match problem kind %r" % (cert.kind, kind)
+        )
+    shape(problem, cert.value)
+
+
 def verify_certificate(problem, cert):
     """True iff the certificate witnesses a YES answer for the instance.
 
     Raises TypeError on a kind mismatch and InvalidCertificateError on
     out-of-range indices or structurally malformed witnesses.
     """
-    kind = problem.kind
-    spec = KINDS.get(kind)
-    if spec is None or spec.certificate is None:
-        raise UnsupportedKindError("no certificate shape for kind %r" % kind)
-    cert_kind, shape, yes = spec.certificate
-    if cert.kind != cert_kind:
-        raise TypeError(
-            "certificate kind %r does not match problem kind %r" % (cert.kind, kind)
-        )
-    shape(problem, cert.value)
-    return yes(problem)(cert.value)
+    _check_certificate(problem, cert)
+    return yes_test(problem)(cert.value)

@@ -28,9 +28,10 @@ depth-first, looking ahead at the vertices left off the path, and hcp runs
 the same search over both arc directions of each edge; steiner_tree tries
 every tree in `_trees` order.  dhcp, hcp and clique_cover are not guarded:
 they refuse once the nodes visited, or the words ranked, pass the budget.
-Every search uses explicit stacks, not recursion.  Verdicts and witnesses
-are deterministic, and every witness is checked once more by
-`verify_certificate` before it is returned.
+Every search uses explicit stacks, not recursion.  A kind's oracle is its
+one `ORACLES` entry, a search returning the witness value (None on NO) and
+`explored`; `solve` alone makes the certificate and checks it once more
+with `verify_certificate`.  Verdicts and witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -81,15 +82,6 @@ def _guard(space, budget, kind):
 
 def _exceeded(kind, budget):
     return BudgetExceededError("%s search exceeded budget %d" % (kind, budget))
-
-
-def _yes(problem, value, explored):
-    cert = certificate(problem, value)
-    if not verify_certificate(problem, cert):
-        raise OracleSelfCheckError(
-            "%s oracle witness %r does not verify" % (problem.kind, value)
-        )
-    return OracleVerdict(True, cert, explored)
 
 
 def _first(n):
@@ -296,28 +288,23 @@ def solve(problem, budget=DEFAULT_BUDGET):
     """Decide an instance by brute force, returning the lexicographically
     first witness on YES."""
     validate(problem)
-    kind = problem.kind
-    p = problem.payload
-    if kind in SUBSETS:
-        return _solve_subsets(problem, budget)
-    if kind == "ip01":
-        _guard(1 << p.num_variables, budget, kind)
-        solution = solve_ip(p)
-        explored = 1 << p.num_variables
-        if solution is None:
-            return OracleVerdict(False, None, explored)
-        return _yes(problem, solution, explored)
-    if kind in ("sat", "threesat"):
-        return _solve_sat(problem, budget)
-    if kind in ("dhcp", "hcp"):
-        return _solve_hamiltonian(problem, budget)
-    if kind == "chromatic_number":
-        return _solve_chromatic(problem, budget)
-    if kind == "clique_cover":
-        return _solve_clique_cover(problem, budget)
-    if kind == "steiner_tree":
-        return _solve_steiner(problem, budget)
-    raise UnsupportedKindError("no oracle for kind %r" % kind)
+    search = ORACLES.get(problem.kind)
+    if search is None:
+        raise UnsupportedKindError("no oracle for kind %r" % problem.kind)
+    value, explored = search(problem, budget)
+    if value is None:
+        return OracleVerdict(False, None, explored)
+    cert = certificate(problem, value)
+    if not verify_certificate(problem, cert):
+        raise OracleSelfCheckError("%s oracle witness %r does not verify" % (problem.kind, value))
+    return OracleVerdict(True, cert, explored)
+
+
+def _solve_ip(problem, budget):
+    """`solve_ip`, guarded by the 2^v space, which is also `explored`."""
+    space = 1 << problem.payload.num_variables
+    _guard(space, budget, problem.kind)
+    return solve_ip(problem.payload), space
 
 
 def _solve_sat(problem, budget):
@@ -347,8 +334,8 @@ def _solve_sat(problem, budget):
     word, explored = _first_word(
         n, 0, lambda _: 2, place, lambda _, i: 1 << n - 1 - i, budget, problem.kind)
     if word is None:
-        return OracleVerdict(False, None, explored)
-    return _yes(problem, tuple(map(bool, word)), explored)
+        return None, explored
+    return tuple(map(bool, word)), explored
 
 
 def _solve_subsets(problem, budget):
@@ -361,16 +348,16 @@ def _solve_subsets(problem, budget):
     sizes = range(lo, min(hi, n) + 1)
     space = 1 << n if lo == 0 and hi >= n else sum(comb(n, s) for s in sizes)
     if not space:  # an empty space (l > s, t > |U|) is a NO under any budget
-        return OracleVerdict(False, None, 0)
+        return None, 0
     _guard(space, budget, problem.kind)
     if checks is None:
-        return OracleVerdict(False, None, 0)
+        return None, 0
     is_yes, member = yes_test(problem), members.__getitem__
     path = _first_subset(n, sizes, *checks, lambda path: is_yes(tuple(map(member, path))))
     if path is None:
-        return OracleVerdict(False, None, space)
+        return None, space
     smaller = sum(comb(n, s) for s in range(lo, len(path)))
-    return _yes(problem, tuple(map(member, path)), smaller + _lex_rank(n, path) + 1)
+    return tuple(map(member, path)), smaller + _lex_rank(n, path) + 1
 
 
 def _first_subset(n, sizes, start, pick, leave, accept):
@@ -477,7 +464,7 @@ def _solve_hamiltonian(problem, budget):
     else:
         arcs, shortest = p.edges + tuple((j, i) for i, j in p.edges), 3
     if n < shortest:
-        return OracleVerdict(False, None, 0)
+        return None, 0
     explored = 1
     if explored > budget:
         raise _exceeded(problem.kind, budget)
@@ -499,7 +486,7 @@ def _solve_hamiltonian(problem, budget):
     else:
         lose_in, lose_out, need = [[], []] + succ[2:], [()] * (n + 1), 2
     if any(ins[x] < need or not outs[x] for x in _first(n)):
-        return OracleVerdict(False, None, explored)
+        return None, explored
 
     path, used = [1], [False, True] + [False] * (n - 1)  # used[v]: v is on the path
     untried = [iter(succ[1])]  # untried[d]: successors of path[d] left to try
@@ -528,13 +515,13 @@ def _solve_hamiltonian(problem, budget):
         for x in lose_out[w]:
             outs[x] -= 1
         if len(path) == n and w in closing:
-            return _yes(problem, tuple(path), explored)
+            return tuple(path), explored
         if len(path) < n and all(
                 used[x] or ins[x] >= need and outs[x] for x in chain(succ[v], pred[w])):
             untried.append(iter(succ[w]))
         else:  # a full path that does not close, or a cut branch: back up
             untried.append(iter(()))
-    return OracleVerdict(False, None, explored)
+    return None, explored
 
 
 def _solve_chromatic(problem, budget):
@@ -549,8 +536,8 @@ def _solve_chromatic(problem, budget):
     word, explored = _first_word(
         n, 0, lambda _: k, place, lambda _, i: k ** (n - 1 - i), budget, problem.kind)
     if word is None:
-        return OracleVerdict(False, None, explored)
-    return _yes(problem, tuple(c + 1 for c in word), explored)
+        return None, explored
+    return tuple(c + 1 for c in word), explored
 
 
 def _solve_clique_cover(problem, budget):
@@ -560,7 +547,7 @@ def _solve_clique_cover(problem, budget):
     A block holding a non-neighbour of the vertex is cut."""
     g, l, n = problem.payload, problem.param, problem.payload.num_vertices
     if l == 0 < n:  # no string: a NO under any budget
-        return OracleVerdict(False, None, 0)
+        return None, 0
     adj = [0] * n  # adj[i]: the mask of vertex i + 1's neighbours, bit v - 1 for v
     for u, v in g.effective_edges():
         adj[u - 1] |= 1 << (v - 1)
@@ -581,9 +568,9 @@ def _solve_clique_cover(problem, budget):
         n, (), lambda blocks: min(len(blocks) + 1, l), place,
         lambda blocks, i: strings[n - 1 - i][len(blocks)], budget, problem.kind)
     if word is None:
-        return OracleVerdict(False, None, explored)
+        return None, explored
     value = (tuple(v for v, c in zip(_first(n), word) if c == b) for b in range(len(set(word))))
-    return _yes(problem, tuple(value), explored)
+    return tuple(value), explored
 
 
 def _trees(g):
@@ -605,5 +592,17 @@ def _solve_steiner(problem, budget):
     explored = 0
     for explored, value in enumerate(_trees(g), 1):
         if is_yes(value):
-            return _yes(problem, value, explored)
-    return OracleVerdict(False, None, explored)
+            return value, explored
+    return None, explored
+
+
+# kind -> its search: (problem, budget) -> (the witness value or None, explored)
+ORACLES = {
+    **dict.fromkeys(SUBSETS, _solve_subsets),
+    **dict.fromkeys(("sat", "threesat"), _solve_sat),
+    **dict.fromkeys(("dhcp", "hcp"), _solve_hamiltonian),
+    "ip01": _solve_ip,
+    "chromatic_number": _solve_chromatic,
+    "clique_cover": _solve_clique_cover,
+    "steiner_tree": _solve_steiner,
+}

@@ -37,6 +37,7 @@ from .instances import (
     SteinerInstance,
     UGraph,
     UnsupportedKindError,
+    _check_certificate,
     certificate,
 )
 from .binprog import EQ, GE, LE, BinaryProgram, ConstraintRow, VariableTag
@@ -725,13 +726,15 @@ def apply_chain(chain, problem):
 
 
 def lift_chain(chain, problem, cert):
-    """Replay a chain's lifts right to left, back to a source certificate."""
+    """Replay a chain's lifts right to left, back to a source certificate,
+    once the certificate's kind and shape fit the chain's image."""
     return _lift_stages(chain, apply_chain(chain, problem), cert)
 
 
 def _lift_stages(chain, stages, cert):
     """`lift_chain` over the stages `apply_chain` gave: step i lifts from
     stages[i + 1] to stages[i]."""
+    _check_certificate(stages[-1], cert)
     for i in reversed(range(len(chain.steps))):
         cert = chain.steps[i].lift(stages[i], stages[i + 1], cert)
     return cert

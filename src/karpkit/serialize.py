@@ -31,7 +31,7 @@ def problem_to_json(problem):
     kind = problem.kind
     spec = KINDS.get(kind)
     if spec is None:
-        raise UnsupportedKindError(kind)
+        raise UnsupportedKindError("unknown kind %r" % kind)
     payload = None if spec.carrier is None else problem.payload.to_json()
     if spec.param is not None:
         payload[spec.param] = problem.param

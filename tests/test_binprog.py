@@ -85,6 +85,13 @@ def test_missing_slack_bound_is_contract_error():
         to_equality_form(_prog(1, [row]))
 
 
+def test_negative_slack_bound_is_contract_error():
+    row = ConstraintRow(((0, 1),), LE, 1, -1)
+    with pytest.raises(ContractError) as exc:
+        to_equality_form(_prog(1, [row]))
+    assert str(exc.value) == "negative slack_bound on row 0"
+
+
 def test_equality_form_preserves_satisfiability_projected():
     # exhaustive round-trip on every program shape in a small family
     rows = [

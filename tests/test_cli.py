@@ -151,6 +151,11 @@ def test_audit_failing_family_exits_one(capsys):
     assert code == 1 and "FAIL" in out
 
 
+def test_audit_unknown_reduction_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "audit", "--reduction", "nope", "--seed", "1", "--scales", "4")
+    assert code == 2 and "unknown reduction 'nope'" in err
+
+
 def test_gen_emits_valid_envelope(tmp_path, capsys):
     spec = _write(tmp_path, "s.json", '{"kind": "clique", "seed": 9, "params": {}}')
     code, out, _ = run(capsys, "gen", "--spec", spec)

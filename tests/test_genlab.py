@@ -88,6 +88,12 @@ def test_generous_budget_steiner_is_always_yes():
         assert p.payload.budget >= sum(p.payload.graph.weights)
 
 
+def test_job_sequencing_has_no_generator():
+    with pytest.raises(ValueError) as exc:
+        generate(GeneratorSpec("job_sequencing", 1))
+    assert str(exc.value) == "no generator for kind 'job_sequencing'"
+
+
 def test_with_params_merges():
     spec = GeneratorSpec("sat", 1, {"clauses": 4})
     spec2 = spec.with_params(literals=9)

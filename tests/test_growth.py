@@ -60,6 +60,12 @@ def test_family_kind_mismatch():
         audit("sat_to_3sat", GeneratorSpec("clique", 1), SCALES)
 
 
+def test_audit_requires_positive_sizes():
+    with pytest.raises(ValueError) as exc:
+        audit("sat_to_3sat", GeneratorSpec("sat", 1), (0,))
+    assert str(exc.value) == "audit requires positive input sizes"
+
+
 def test_json_and_table_round_trip():
     report = audit("partition_to_knapsack", GeneratorSpec("partition", 6), SCALES)
     d = json.loads(report.dumps())

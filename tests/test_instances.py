@@ -20,6 +20,7 @@ from karpkit.instances import (
     SteinerInstance,
     TripleFamily,
     UGraph,
+    UnsupportedKindError,
     measure_input_size,
     size_report,
     validate,
@@ -137,6 +138,19 @@ def test_validate_rejects_covering_k_above_set_count():
 
 def test_job_sequencing_is_a_bare_tag():
     validate(Problem("job_sequencing", None))
+
+
+def test_job_sequencing_has_no_certificate_shape():
+    with pytest.raises(UnsupportedKindError) as exc:
+        verify_certificate(Problem("job_sequencing", None), Certificate("vertex_set", ()))
+    assert str(exc.value) == "no certificate shape for kind 'job_sequencing'"
+
+
+def test_measure_refuses_an_unknown_mode():
+    p = Problem("clique", UGraph(2, ((1, 2),)), 2)
+    with pytest.raises(ValueError) as exc:
+        measure_input_size(p, "words")
+    assert str(exc.value) == "mode must be 'element' or 'bits'"
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +358,10 @@ def test_malformed_cases_cover_every_certificate_kind():
     # a proper colouring that uses more than k colours
     (Problem("chromatic_number", _PATH3, 1), "coloring", (1, 2, 1), False),
     (Problem("chromatic_number", _PATH3, 2), "coloring", (1, 2, 1), True),
+    # a packing of fewer than l sets, and a cover by more than k sets
+    (Problem("set_packing", _SETS, 2), "set_indices", (1,), False),
+    (Problem("set_covering", SetFamily(3, ((1,), (2,), (3,))), 2), "set_indices",
+     (1, 2, 3), False),
 ])
 def test_yes_test_counts_distinct_members(problem, cert_kind, value, expected):
     assert verify_certificate(problem, Certificate(cert_kind, value)) is expected

@@ -15,6 +15,7 @@ from karpkit.instances import (
     SteinerInstance,
     TripleFamily,
     UGraph,
+    UnsupportedKindError,
     verify_certificate,
     yes_test,
 )
@@ -608,3 +609,9 @@ _K4 = UGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
         "hcp-K4-budget1", "hcp-K4-budget2", "hcp-K4-budget3", "hcp-K4-budget4"])
 def test_hamiltonian_and_clique_cover_edges(problem, budget, record):
     assert _record(problem, budget) == record
+
+
+def test_job_sequencing_has_no_oracle():
+    with pytest.raises(UnsupportedKindError) as exc:
+        solve(Problem("job_sequencing", None))
+    assert str(exc.value) == "no oracle for kind 'job_sequencing'"

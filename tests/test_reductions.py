@@ -253,6 +253,32 @@ def test_fas_lift_decodes_path_and_original_arc_nodes():
     assert lift(p, t, certificate(t, (1,))).value == ((1, 2),)
 
 
+
+_TRIANGLE = Problem("feedback_arc_set", DiGraph(3, ((1, 2), (2, 3), (3, 1))), param=1)
+_PATH3 = Problem("chromatic_number", UGraph(3, ((1, 2),)), param=2)
+_EDGE = Problem("clique", UGraph(2, ((1, 2),)), param=2)
+
+
+@pytest.mark.parametrize("names, problem, cert, error, message", [
+    (("fas_to_fns",), _TRIANGLE, Certificate("vertex_set", (0,)),
+     InvalidCertificateError, "vertex out of range"),
+    (("fas_to_fns",), _TRIANGLE, Certificate("vertex_set", (-1,)),
+     InvalidCertificateError, "vertex out of range"),
+    (("fas_to_fns",), _TRIANGLE, Certificate("vertex_set", (7,)),
+     InvalidCertificateError, "vertex out of range"),
+    (("chromatic_to_clique_cover",), _PATH3, Certificate("clique_partition", ((0,), (1, 2, 3))),
+     InvalidCertificateError, "vertex out of range"),
+    (("clique_to_ip",), _EDGE, Certificate("vertex_set", (1, 2)),
+     TypeError, "certificate kind 'vertex_set' does not match problem kind 'ip01'"),
+    (("clique_to_ip",), _EDGE, Certificate("binary", (0, 1)),
+     InvalidCertificateError, "assignment length mismatch"),
+])
+def test_lift_chain_refuses_a_malformed_certificate(names, problem, cert, error, message):
+    # the image's own check runs before any lift decodes the certificate
+    with pytest.raises(error) as exc:
+        lift_chain(chain_from_names(names), problem, cert)
+    assert str(exc.value) == message
+
 def test_fas_figure_eight_answers_diverge():
     # Known gap in the construction: a gadget-internal node of the hub
     # vertex cuts every cycle through it at once, acting like node (not

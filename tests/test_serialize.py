@@ -30,6 +30,8 @@ from karpkit.serialize import (
     loads_problem,
     parse_dimacs_cnf,
     parse_edge_list,
+    problem_from_json,
+    problem_to_json,
 )
 
 
@@ -308,6 +310,11 @@ MALFORMED_INSTANCES = [
     (Problem("hcp", _UNWEIGHTED, 7), InvalidInstanceError, "hcp takes no parameter"),
     (Problem("job_sequencing", None, 1), InvalidInstanceError,
      "job_sequencing takes no parameter"),
+    (Problem("ip01", BinaryProgram((VariableTag(("x", 1)),), (
+        ConstraintRow(((0, 1),), "!=", 1, None),))), ContractError, "bad relation '!='"),
+    (Problem("ip01", BinaryProgram((VariableTag(("x", 1)),), (
+        ConstraintRow(((1, 1),), "=", 1, None),))), ContractError,
+     "term references undeclared variable"),
 ]
 
 
@@ -319,6 +326,17 @@ def test_malformed_instance_messages(problem, error, message):
     with pytest.raises(error) as exc:
         validate(problem)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("read", [
+    lambda: problem_to_json(Problem("nope", None)),
+    lambda: problem_from_json({"kind": "nope", "payload": {}}),
+    lambda: parse_edge_list("1 2\n", "nope"),
+], ids=["problem_to_json", "problem_from_json", "parse_edge_list"])
+def test_unknown_kind_is_refused(read):
+    with pytest.raises(UnsupportedKindError) as exc:
+        read()
+    assert str(exc.value) == "unknown kind 'nope'"
 
 
 def test_malformed_instances_cover_every_kind():
