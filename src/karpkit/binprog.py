@@ -37,9 +37,6 @@ class VariableTag:
 
     origin: tuple
 
-    def __str__(self):
-        return "_".join(str(x) for x in self.origin)
-
 
 @dataclass(frozen=True)
 class ConstraintRow:
@@ -48,11 +45,8 @@ class ConstraintRow:
     rhs: int
     slack_bound: Optional[int] = None
 
-    def lhs(self, assignment):
-        return sum(c * assignment[i] for i, c in self.terms)
-
     def holds(self, assignment):
-        lhs = self.lhs(assignment)
+        lhs = sum(c * assignment[i] for i, c in self.terms)
         if self.relation == EQ:
             return lhs == self.rhs
         if self.relation == LE:
@@ -92,9 +86,6 @@ class BinaryProgram:
                 if c == 0:
                     raise ContractError("zero coefficients must not be stored")
         return self
-
-    def is_equality_form(self):
-        return all(r.relation == EQ for r in self.rows)
 
     def satisfied_by(self, assignment):
         """Every row holds; `instances` checks the assignment's shape first."""
@@ -136,20 +127,10 @@ class BinaryProgram:
         )
         return BinaryProgram(variables, rows)
 
-    def dump(self):
-        """One row per line: "coef*var ... REL rhs"."""
-        lines = []
-        for row in self.rows:
-            terms = " ".join(
-                "%d*%s" % (c, self.variables[i]) for i, c in row.terms
-            )
-            lines.append("%s %s %d" % (terms, row.relation, row.rhs))
-        return "\n".join(lines)
-
 
 def num_slacks(gap):
-    """Slack variables needed to absorb a maximum gap: ceil(log2(gap+1))."""
-    return math.ceil(math.log2(gap + 1)) if gap > 0 else 0
+    """Slack variables needed to absorb a maximum gap: ceil(log2(gap+1)), exactly."""
+    return max(gap, 0).bit_length()
 
 
 def to_equality_form(program):

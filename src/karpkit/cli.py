@@ -62,6 +62,13 @@ class UsageError(Exception):
     pass
 
 
+def _params(value):
+    """Generator params as given in a spec or by `audit --params`."""
+    if not isinstance(value, dict):
+        raise UsageError("params must be a JSON object, got %s" % json.dumps(value))
+    return value
+
+
 def _add_instance_args(sub):
     sub.add_argument("instance", help="instance file, or - for stdin")
     sub.add_argument(
@@ -144,7 +151,7 @@ def cmd_audit(args):
     if args.reduction not in REDUCTIONS:
         raise UsageError("unknown reduction %r" % args.reduction)
     spec = REDUCTIONS[args.reduction]
-    params = json.loads(args.params) if args.params else {}
+    params = _params(json.loads(args.params) if args.params else {})
     family = GeneratorSpec(spec.source_kind, args.seed, params)
     report = audit(args.reduction, family, args.scales)
     if args.json:
@@ -156,7 +163,7 @@ def cmd_audit(args):
 
 def cmd_gen(args):
     d = json.loads(_read_text(args.spec))
-    spec = GeneratorSpec(d["kind"], d["seed"], d.get("params", {}))
+    spec = GeneratorSpec(d["kind"], d["seed"], _params(d.get("params", {})))
     problem = generate(spec)
     _write_text(args.output, serialize.dumps_problem(problem))
     return EXIT_YES
@@ -240,11 +247,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget refusal: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    # the library's refusals of malformed input, and JSON's, are ValueErrors;
-    # a missing key or index, or JSON nested too deep to decode, is malformed
-    # input too, and a traceback would exit 1, which reads as NO
-    except (UsageError, LookupError, ValueError, TypeError, RecursionError,
-            OSError) as exc:
+    # any other failure is malformed input or a usage error: a traceback
+    # would exit 1, which reads as NO
+    except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -140,6 +140,8 @@ def _random_family(seed, universe, num_sets, max_set):
     """Random set family; set i structurally contains element
     ((i-1) mod universe)+1 so families with at least `universe` sets cover
     the whole universe.  One row of universe+1 uniforms per set."""
+    if num_sets > 0 and universe < 1:
+        raise ValueError("sets need a universe of at least 1 element")
     u = _stream(seed, "set").random((num_sets, universe + 1))
     sizes = _ints(u[:, 0], 1, max(1, min(max_set, universe))).tolist()
     sets = []

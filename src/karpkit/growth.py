@@ -36,12 +36,6 @@ class GrowthReport:
     formula_checks: tuple  # ((scale, label, want, got, ok), ...)
     passed: bool
 
-    @property
-    def bound_violations(self):
-        return tuple(
-            (i, o) for i, o in self.element_pairs if not _within(self.claim, i, o)
-        )
-
     def to_json(self):
         return {
             "reduction": self.reduction,

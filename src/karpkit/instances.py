@@ -388,13 +388,6 @@ class Certificate:
     value: object
 
 
-@dataclass(frozen=True)
-class SizeReport:
-    kind: str
-    element: int
-    bits: int
-
-
 # ---------------------------------------------------------------------------
 # validity
 # ---------------------------------------------------------------------------
@@ -488,14 +481,6 @@ def measure_input_size(problem, mode="element"):
     if spec.param is None:
         return size
     return size + (1 if mode == "element" else nbits(problem.param))
-
-
-def size_report(problem):
-    return SizeReport(
-        problem.kind,
-        measure_input_size(problem, "element"),
-        measure_input_size(problem, "bits"),
-    )
 
 
 # ---------------------------------------------------------------------------

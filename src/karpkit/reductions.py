@@ -712,11 +712,6 @@ def chain_from_names(names):
     return ReductionChain(tuple(REDUCTIONS[n] for n in names))
 
 
-def compose(chain, problem):
-    """Apply a chain's transforms left to right."""
-    return apply_chain(chain, problem)[-1]
-
-
 def apply_chain(chain, problem):
     """Apply a chain and keep every intermediate instance (for lifting)."""
     stages = [problem]

@@ -37,11 +37,24 @@ def test_num_slacks_formula():
     assert num_slacks(8) == 4
 
 
+def test_num_slacks_exact_past_float_precision():
+    ks = range(49, 71)
+    assert [num_slacks(2**k) for k in ks] == [k + 1 for k in ks]
+
+
+def test_large_gap_keeps_every_assignment():
+    # x0 <= 2^49 holds at x0 = 0; one slack short, the equality form would
+    # force x0 = 1
+    prog = _prog(1, [ConstraintRow(((0, 1),), LE, 2**49, 2**49)])
+    assert solve_ip(prog) == (0,)
+    assert solve_ip(to_equality_form(prog))[0] == 0
+
+
 def test_le5_row_gets_three_powers_of_two_slacks():
     # sum x_i <= 5 over five variables, gap 5 -> slacks 1, 2, 4
     row = ConstraintRow(tuple((i, 1) for i in range(5)), LE, 5, 5)
     eq = to_equality_form(_prog(5, [row]))
-    assert eq.is_equality_form()
+    assert all(r.relation == EQ for r in eq.rows)
     slack_terms = eq.rows[0].terms[5:]
     assert [c for _, c in slack_terms] == [1, 2, 4]
     assert all(eq.variables[i].origin[0] == "slack" for i, _ in slack_terms)
@@ -247,12 +260,6 @@ def test_solve_ip_steiner_image_matches_brute_force():
     witness = solve_ip(prog)
     assert witness is not None
     assert witness == _brute_force(prog)
-
-
-def test_dump_is_readable():
-    prog = _prog(2, [ConstraintRow(((0, 2), (1, -1)), LE, 1, 1)])
-    text = prog.dump()
-    assert "<=" in text and "2*" in text
 
 
 def test_binprog_imports_nothing_from_karpkit():

@@ -163,6 +163,32 @@ def test_gen_emits_valid_envelope(tmp_path, capsys):
     assert loads_problem(out).kind == "clique"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "clique", "seed": 9, "params": [1]},
+        {"kind": "clique", "seed": 9, "params": None},
+        {"kind": "clique", "seed": 9, "params": "ab"},
+        {"kind": "set_covering", "seed": 9, "params": {"universe": 0}},
+        {"kind": "exact_cover", "seed": 9, "params": {"universe": 0}},
+    ],
+    ids=["list", "null", "string", "set_covering-universe-0", "exact_cover-universe-0"],
+)
+def test_gen_bad_spec_exits_two(tmp_path, capsys, spec):
+    # a traceback would exit 1, which reads as NO
+    code, out, err = run(capsys, "gen", "--spec", _write(tmp_path, "s.json", json.dumps(spec)))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_audit_params_must_be_an_object(capsys):
+    code, out, err = run(
+        capsys, "audit", "--reduction", "sat_to_3sat", "--seed", "1", "--scales", "4",
+        "--params", "[1]",
+    )
+    assert (code, out, err) == (2, "", "error: params must be a JSON object, got [1]\n")
+
+
 def test_measure_modes(tmp_path, capsys):
     path = k4_file(tmp_path)
     code, out, _ = run(capsys, "measure", path)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -22,7 +23,6 @@ from karpkit.instances import (
     UGraph,
     UnsupportedKindError,
     measure_input_size,
-    size_report,
     validate,
     verify_certificate,
 )
@@ -94,10 +94,8 @@ def test_bits_mode_counts_sign_bit():
 
 def test_size_report_carries_both_modes():
     p = sat(2, (1, -2))
-    r = size_report(p)
-    assert r.kind == "sat"
-    assert r.element == 2
-    assert r.bits > 0
+    assert measure_input_size(p, "element") == 2
+    assert measure_input_size(p, "bits") > 0
 
 
 def test_duplicate_clauses_counted_with_multiplicity():
@@ -420,3 +418,12 @@ def test_set_like_shape_check_does_not_depend_on_hash_seed():
         for seed in ("1", "2")
     }
     assert outputs == {"InvalidCertificateError vertex out of range\n"}
+
+
+def test_all_lists_every_public_name():
+    # the imports and `__all__` in karpkit/__init__.py are edited together
+    bound = {
+        name for name, value in vars(karpkit).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(karpkit.__all__)

@@ -33,7 +33,6 @@ from karpkit.reductions import (
     ReductionChain,
     apply_chain,
     chain_from_names,
-    compose,
     lift_chain,
     reduce_chromatic_to_clique_cover,
     route_to_kernel,
@@ -529,7 +528,7 @@ def test_compressed_chromatic_image_round_trips():
 def test_chain_partition_to_ip():
     chain = chain_from_names(("partition_to_knapsack", "knapsack_to_ip"))
     p = Problem("partition", IntegerList((1, 2, 3)))
-    t = compose(chain, p)
+    t = apply_chain(chain, p)[-1]
     assert t.kind == "ip01"
     row = t.payload.rows[0]
     assert row.terms == ((0, 1), (1, 2), (2, 3)) and row.rhs == 3
@@ -538,14 +537,14 @@ def test_chain_partition_to_ip():
 def test_empty_chain_is_identity():
     chain = ReductionChain(())
     p = Problem("partition", IntegerList((1, 1)))
-    assert compose(chain, p) is p
+    assert apply_chain(chain, p)[-1] is p
     assert chain.growth_claim() == (1.0, 0.0)
 
 
 def test_chain_sat_to_ip_counts():
     chain = chain_from_names(("sat_to_3sat", "threesat_to_ip"))
     p = Problem("sat", CnfFormula(4, ((1, 2, 3, 4),)))
-    t = compose(chain, p)
+    t = apply_chain(chain, p)[-1]
     assert len(t.payload.rows) == 2
     assert sum(len(r.terms) for r in t.payload.rows) == 6
 
@@ -664,7 +663,7 @@ def test_lift_chain_applies_each_step_once():
 
     chain = ReductionChain(tuple(counted(s) for s in route_to_kernel("node_cover").steps))
     p = LIFT_CASES["node_cover_to_set_covering"]
-    v = solve(compose(chain, p))
+    v = solve(apply_chain(chain, p)[-1])
     calls.clear()
     lifted = lift_chain(chain, p, v.certificate)
     assert calls == ["node_cover_to_set_covering", "set_covering_to_ip"]
