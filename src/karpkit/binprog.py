@@ -91,7 +91,7 @@ class BinaryProgram:
         """Every row holds; `instances` checks the assignment's shape first."""
         return all(row.holds(assignment) for row in self.rows)
 
-    def size(self, mode="element"):
+    def size(self, mode):
         """Element mode: nonzero count + RHS entry count; bits mode: encoding
         lengths of all coefficients and RHS values."""
         if mode == "element":

@@ -54,18 +54,14 @@ def _load_problem(args):
         return serialize.parse_dimacs_cnf(text)
     if args.format == "edgelist":
         if args.kind is None:
-            raise UsageError("--format edgelist requires --kind")
+            raise ValueError("--format edgelist requires --kind")
         return serialize.parse_edge_list(text, args.kind, args.param)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _params(value):
     """Generator params as given in a spec or by `audit --params`."""
     if not isinstance(value, dict):
-        raise UsageError("params must be a JSON object, got %s" % json.dumps(value))
+        raise ValueError("params must be a JSON object, got %s" % json.dumps(value))
     return value
 
 
@@ -91,7 +87,7 @@ def _manifest(stages, names):
 def cmd_reduce(args):
     problem = _load_problem(args)
     if args.via not in REDUCTIONS:
-        raise UsageError("unknown reduction %r" % args.via)
+        raise ValueError("unknown reduction %r" % args.via)
     target = REDUCTIONS[args.via].apply(problem)
     _write_text(args.output, serialize.dumps_problem(target))
     return EXIT_YES
@@ -149,7 +145,7 @@ def cmd_lift(args):
 
 def cmd_audit(args):
     if args.reduction not in REDUCTIONS:
-        raise UsageError("unknown reduction %r" % args.reduction)
+        raise ValueError("unknown reduction %r" % args.reduction)
     spec = REDUCTIONS[args.reduction]
     params = _params(json.loads(args.params) if args.params else {})
     family = GeneratorSpec(spec.source_kind, args.seed, params)

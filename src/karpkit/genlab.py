@@ -165,11 +165,11 @@ def _triples(seed, t, count):
 
 
 def _param(kind, p, top, low, high):
-    """The given parameter, else one drawn from `top` in low..high; None,
-    with no draw, for a kind whose `KINDS` entry names no parameter."""
+    """The given parameter, else one drawn from `top` in min(low, high)..high;
+    None, with no draw, for a kind whose `KINDS` entry names no parameter."""
     if KINDS[kind].param is None:
         return None
-    return p["param"] if "param" in p else _int(top, low, high)
+    return p["param"] if "param" in p else _int(top, min(low, high), high)
 
 
 def _cnf(kind, seed, p, top):

@@ -3,7 +3,8 @@
 Runs a reduction over a seeded family at increasing scale points, records
 (input size, output size) pairs in both measuring modes, and checks the
 reduction's claimed affine bound out <= alpha*in + beta pointwise along with
-any exact count formulas.  The maximum ratio and the fitted slope (least
+any exact count formulas.  The claim is exact (ints or Fractions), so the
+bound takes no tolerance.  The maximum ratio and the fitted slope (least
 squares through the origin) are each one division of exact integer sums;
 the slope is a diagnostic only, and pass/fail is the pointwise bound plus
 the formula checks.
@@ -22,13 +23,13 @@ from .reductions import REDUCTIONS
 def _within(claim, i, o):
     """Output size o is within the claim's affine bound at input size i."""
     alpha, beta = claim
-    return o <= alpha * i + beta + 1e-9
+    return o <= alpha * i + beta
 
 
 @dataclass(frozen=True)
 class GrowthReport:
     reduction: str
-    claim: tuple  # (alpha, beta), element mode
+    claim: tuple  # exact (alpha, beta), element mode
     element_pairs: tuple  # ((in, out), ...) sorted by input size
     bits_pairs: tuple
     max_ratio: float
@@ -39,7 +40,7 @@ class GrowthReport:
     def to_json(self):
         return {
             "reduction": self.reduction,
-            "claim": {"alpha": self.claim[0], "beta": self.claim[1]},
+            "claim": {"alpha": float(self.claim[0]), "beta": float(self.claim[1])},
             "element_pairs": [list(p) for p in self.element_pairs],
             "bits_pairs": [list(p) for p in self.bits_pairs],
             "max_ratio": self.max_ratio,

@@ -3,8 +3,9 @@
 Each reduction is a transform/lift pair: the transform maps a source
 instance to a target instance with the same YES/NO answer, and the lift
 maps any accepted target certificate back to a source certificate.  Every
-reduction declares an affine growth claim on element-mode input sizes and,
-where known, exact nonzero/RHS count formulas for its output.
+reduction declares an exact affine growth claim (ints, or a Fraction) on
+element-mode input sizes and, where known, exact nonzero/RHS counts of its
+output, each built by `_count` so that its label renders the formula it checks.
 
 A lift is called as `lift(source, target, cert)`, where `target` is the
 instance the transform made from `source` (`lift_chain` hands each step the
@@ -23,6 +24,7 @@ the job in O(1) extra size per constant-bounded row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Callable, Optional
 
@@ -55,7 +57,7 @@ class ReductionSpec:
     target_kind: str
     transform: Callable
     lift: Callable  # (source, target, cert) -> source certificate
-    growth_claim: tuple  # (alpha, beta) on element-mode sizes
+    growth_claim: tuple  # exact (alpha, beta), ints or Fractions, on element-mode sizes
     count_checks: Optional[Callable] = None  # (source, target) -> [(label, want, got)]
 
     def apply(self, problem):
@@ -111,6 +113,14 @@ def _ip_nonzeros(program):
     return sum(len(r.terms) for r in program.rows)
 
 
+def _count(quantity, got, *terms):
+    """One count check `(label, want, got)`, the label rendering the terms
+    the want sums.  A term is `(coefficient, symbol, value)`: symbol "" is a
+    constant (value 1), and coefficient 1 shows as the bare symbol."""
+    label = " + ".join(s if c == 1 and s else "%d%s" % (c, s) for c, s, _ in terms)
+    return "%s = %s" % (quantity, label), sum(c * v for c, _, v in terms), got
+
+
 # ---------------------------------------------------------------------------
 # SAT -> 3-SAT
 # ---------------------------------------------------------------------------
@@ -160,12 +170,11 @@ def reduce_clique_to_ip(problem):
 
 
 def counts_clique_to_ip(source, target):
-    g = source.payload
-    prog = target.payload
+    g, prog = source.payload, target.payload
     n, e = g.num_vertices, len(g.edges)
     return [
-        ("nonzeros = N + 8e", n + 8 * e, _ip_nonzeros(prog)),
-        ("rhs entries = 3e + 2", 3 * e + 2, len(prog.rows)),
+        _count("nonzeros", _ip_nonzeros(prog), (1, "N", n), (8, "e", e)),
+        _count("rhs entries", len(prog.rows), (3, "e", e), (2, "", 1)),
     ]
 
 
@@ -188,11 +197,9 @@ def reduce_set_packing_to_ip(problem):
 
 def counts_family_to_ip(source, target):
     fam = source.payload
-    prog = target.payload
     total = sum(len(s) for s in fam.sets)
-    return [
-        ("nonzeros = sum|S_i| + s", total + fam.num_sets, _ip_nonzeros(prog)),
-    ]
+    return [_count("nonzeros", _ip_nonzeros(target.payload),
+                   (1, "sum|S_i|", total), (1, "s", fam.num_sets))]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +219,7 @@ def reduce_node_cover_to_set_covering(problem):
 def counts_node_cover(source, target):
     e = len(source.payload.edges)
     total = sum(len(s) for s in target.payload.sets)
-    return [("total set entries = 2e", 2 * e, total)]
+    return [_count("total set entries", total, (2, "e", e))]
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +348,8 @@ def lift_dhcp_to_hcp(source, target, cert):
 
 def counts_dhcp_to_hcp(source, target):
     g = source.payload
-    want = len(g.arcs) + 2 * g.num_vertices
-    return [("edges = e + 2N", want, len(target.payload.edges))]
+    return [_count("edges", len(target.payload.edges),
+                   (1, "e", len(g.arcs)), (2, "N", g.num_vertices))]
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +379,10 @@ def reduce_threesat_to_ip(problem):
 
 
 def counts_threesat_to_ip(source, target):
-    n = len(source.payload.clauses)
-    prog = target.payload
+    n, prog = len(source.payload.clauses), target.payload
     return [
-        ("nonzeros = 3n", 3 * n, _ip_nonzeros(prog)),
-        ("rhs entries = n", n, len(prog.rows)),
+        _count("nonzeros", _ip_nonzeros(prog), (3, "n", n)),
+        _count("rhs entries", len(prog.rows), (1, "n", n)),
     ]
 
 
@@ -395,7 +401,7 @@ def reduce_exact_cover_to_ip(problem):
 
 def counts_exact_cover(source, target):
     total = sum(len(s) for s in source.payload.sets)
-    return [("nonzeros = sum|S_i|", total, _ip_nonzeros(target.payload))]
+    return [_count("nonzeros", _ip_nonzeros(target.payload), (1, "sum|S_i|", total))]
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +417,11 @@ def reduce_hitting_set_to_ip(problem):
 
 
 def counts_hitting_set(source, target):
-    fam = source.payload
+    fam, prog = source.payload, target.payload
     total = sum(len(s) for s in fam.sets)
-    prog = target.payload
     return [
-        ("nonzeros = sum|S_i|", total, _ip_nonzeros(prog)),
-        ("rhs entries = s", fam.num_sets, len(prog.rows)),
+        _count("nonzeros", _ip_nonzeros(prog), (1, "sum|S_i|", total)),
+        _count("rhs entries", len(prog.rows), (1, "s", fam.num_sets)),
     ]
 
 
@@ -497,11 +502,10 @@ def lift_steiner_tree_to_ip(source, target, cert):
 
 def counts_steiner_tree(source, target):
     g = source.payload.graph
-    n, e = g.num_vertices, len(g.edges)
-    want = 4 * n + 7 * e
-    if source.payload.budget < sum(g.weights):
-        want += 2 * sum(1 for w in g.weights if w != 0)
-    return [("nonzeros = 4N + 7e (budget row extra)", want, _ip_nonzeros(target.payload))]
+    # b: the weighted edges, each with two terms in the budget row if written
+    b = sum(1 for w in g.weights if w != 0) if source.payload.budget < sum(g.weights) else 0
+    return [_count("nonzeros", _ip_nonzeros(target.payload),
+                   (4, "N", g.num_vertices), (7, "e", len(g.edges)), (2, "b", b))]
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +527,10 @@ def reduce_three_dim_matching_to_ip(problem):
 
 
 def counts_three_dim_matching(source, target):
-    tf = source.payload
-    prog = target.payload
+    tf, prog = source.payload, target.payload
     return [
-        ("nonzeros = 3|U|", 3 * len(tf.triples), _ip_nonzeros(prog)),
-        ("rhs entries = 3|T|", 3 * tf.t_size, len(prog.rows)),
+        _count("nonzeros", _ip_nonzeros(prog), (3, "|U|", len(tf.triples))),
+        _count("rhs entries", len(prog.rows), (3, "|T|", tf.t_size)),
     ]
 
 
@@ -546,8 +549,8 @@ def reduce_knapsack_to_ip(problem):
 def counts_knapsack(source, target):
     prog = target.payload
     return [
-        ("nonzeros = r", len(source.payload.values), _ip_nonzeros(prog)),
-        ("rhs entries = 1", 1, len(prog.rows)),
+        _count("nonzeros", _ip_nonzeros(prog), (1, "r", len(source.payload.values))),
+        _count("rhs entries", len(prog.rows), (1, "", 1)),
     ]
 
 
@@ -590,13 +593,11 @@ def reduce_max_cut_to_ip(problem):
 
 
 def counts_max_cut(source, target):
-    g = source.payload
-    e = len(g.edges)
-    prog = target.payload
-    nonzero_weights = sum(1 for w in g.weights if w != 0)
+    g, prog = source.payload, target.payload
+    e, w = len(g.edges), sum(1 for weight in g.weights if weight != 0)
     return [
-        ("nonzeros = 13e", 12 * e + nonzero_weights, _ip_nonzeros(prog)),
-        ("rhs entries = 4e + 1", 4 * e + 1, len(prog.rows)),
+        _count("nonzeros", _ip_nonzeros(prog), (12, "e", e), (1, "w", w)),
+        _count("rhs entries", len(prog.rows), (4, "e", e), (1, "", 1)),
     ]
 
 
@@ -637,43 +638,43 @@ REDUCTIONS = {
     spec.name: spec
     for spec in (
         ReductionSpec("sat_to_3sat", "sat", "threesat", reduce_sat_to_3sat,
-                      lift_assignment, (3.0, 0.0)),
+                      lift_assignment, (3, 0)),
         ReductionSpec("clique_to_ip", "clique", "ip01", reduce_clique_to_ip,
-                      _tagged("vertex"), (12.0, 3.0), counts_clique_to_ip),
+                      _tagged("vertex"), (12, 3), counts_clique_to_ip),
         ReductionSpec("set_packing_to_ip", "set_packing", "ip01", reduce_set_packing_to_ip,
-                      _tagged("set"), (3.0, 1.0), counts_family_to_ip),
+                      _tagged("set"), (3, 1), counts_family_to_ip),
         ReductionSpec("node_cover_to_set_covering", "node_cover", "set_covering",
-                      reduce_node_cover_to_set_covering, lift_same, (2.0, 1.0),
+                      reduce_node_cover_to_set_covering, lift_same, (2, 1),
                       counts_node_cover),
         ReductionSpec("set_covering_to_ip", "set_covering", "ip01", reduce_set_covering_to_ip,
-                      _tagged("set"), (3.0, 1.0), counts_family_to_ip),
+                      _tagged("set"), (3, 1), counts_family_to_ip),
         ReductionSpec("fas_to_fns", "feedback_arc_set", "feedback_node_set",
-                      reduce_fas_to_fns, lift_fas_to_fns, (12.0, 1.0)),
+                      reduce_fas_to_fns, lift_fas_to_fns, (12, 1)),
         ReductionSpec("dhcp_to_hcp", "dhcp", "hcp", reduce_dhcp_to_hcp, lift_dhcp_to_hcp,
-                      (3.0, 0.0), counts_dhcp_to_hcp),
+                      (3, 0), counts_dhcp_to_hcp),
         ReductionSpec("threesat_to_ip", "threesat", "ip01", reduce_threesat_to_ip,
-                      lift_assignment, (4.0 / 3.0, 0.0), counts_threesat_to_ip),
+                      lift_assignment, (Fraction(4, 3), 0), counts_threesat_to_ip),
         ReductionSpec("exact_cover_to_ip", "exact_cover", "ip01", reduce_exact_cover_to_ip,
-                      _tagged("set"), (2.0, 0.0), counts_exact_cover),
+                      _tagged("set"), (2, 0), counts_exact_cover),
         ReductionSpec("hitting_set_to_ip", "hitting_set", "ip01", reduce_hitting_set_to_ip,
-                      _tagged("element"), (2.0, 0.0), counts_hitting_set),
+                      _tagged("element"), (2, 0), counts_hitting_set),
         ReductionSpec("steiner_tree_to_ip", "steiner_tree", "ip01", reduce_steiner_tree_to_ip,
-                      lift_steiner_tree_to_ip, (9.0, 8.0), counts_steiner_tree),
+                      lift_steiner_tree_to_ip, (9, 8), counts_steiner_tree),
         ReductionSpec("three_dim_matching_to_ip", "three_dim_matching", "ip01",
-                      reduce_three_dim_matching_to_ip, _tagged("triple"), (2.0, 0.0),
+                      reduce_three_dim_matching_to_ip, _tagged("triple"), (2, 0),
                       counts_three_dim_matching),
         ReductionSpec("knapsack_to_ip", "knapsack", "ip01", reduce_knapsack_to_ip,
-                      _tagged("item"), (1.0, 0.0), counts_knapsack),
+                      _tagged("item"), (1, 0), counts_knapsack),
         ReductionSpec("partition_to_knapsack", "partition", "knapsack",
-                      reduce_partition_to_knapsack, lift_same, (1.0, 1.0)),
+                      reduce_partition_to_knapsack, lift_same, (1, 1)),
         ReductionSpec("max_cut_to_ip", "max_cut", "ip01", reduce_max_cut_to_ip,
-                      _tagged("vertex", picked=0), (9.0, 1.0), counts_max_cut),
+                      _tagged("vertex", picked=0), (9, 1), counts_max_cut),
         ReductionSpec("chromatic_to_clique_cover", "chromatic_number", "clique_cover",
                       reduce_chromatic_to_clique_cover, lift_chromatic_to_clique_cover,
-                      (1.0, 1.0)),
+                      (1, 1)),
         ReductionSpec("chromatic_to_clique_cover_compressed", "chromatic_number",
                       "clique_cover", _reduce_chromatic_compressed,
-                      lift_chromatic_to_clique_cover, (1.0, 1.0)),
+                      lift_chromatic_to_clique_cover, (1, 1)),
     )
 }
 
@@ -701,7 +702,7 @@ class ReductionChain:
 
     def growth_claim(self):
         """Composition of the per-step affine bounds."""
-        alpha, beta = 1.0, 0.0
+        alpha, beta = 1, 0
         for step in self.steps:
             a, b = step.growth_claim
             alpha, beta = a * alpha, a * beta + b

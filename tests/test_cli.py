@@ -163,6 +163,12 @@ def test_gen_emits_valid_envelope(tmp_path, capsys):
     assert loads_problem(out).kind == "clique"
 
 
+def test_gen_with_no_sets_exits_zero(tmp_path, capsys):
+    spec = _write(tmp_path, "s.json", '{"kind": "set_covering", "seed": 1, "params": {"sets": 0}}')
+    code, out, _ = run(capsys, "gen", "--spec", spec)
+    assert code == 0 and loads_problem(out).param == 0
+
+
 @pytest.mark.parametrize(
     "spec",
     [

@@ -88,6 +88,17 @@ def test_generous_budget_steiner_is_always_yes():
         assert p.payload.budget >= sum(p.payload.graph.weights)
 
 
+@pytest.mark.parametrize("kind, count", [
+    ("clique", "vertices"), ("node_cover", "vertices"), ("chromatic_number", "vertices"),
+    ("clique_cover", "vertices"), ("set_covering", "sets"),
+])
+def test_a_count_of_zero_draws_the_param_zero(kind, count):
+    # drawn from 1..0, the parameter exceeded the count and was refused
+    p = generate(GeneratorSpec(kind, 1, {count: 0}))
+    validate(p)
+    assert p.param == 0
+
+
 def test_job_sequencing_has_no_generator():
     with pytest.raises(ValueError) as exc:
         generate(GeneratorSpec("job_sequencing", 1))

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from karpkit.genlab import GeneratorSpec
+from karpkit.genlab import GeneratorSpec, generate, scaled_spec
 from karpkit.growth import audit
-from karpkit.reductions import REDUCTIONS
+from karpkit.instances import KINDS, measure_input_size
+from karpkit.reductions import REDUCTIONS, apply_chain, route_to_kernel
 
 SCALES = (4, 8, 16, 32, 64)
 
@@ -108,7 +109,7 @@ def _criterion_6_audits():
 
 # sha256 over dumps() + table() of every _criterion_6_audits() report
 CRITERION_6_GOLDEN = (
-    "96d3ec6ed724f1e4805da073d2f2f71f174a4fb96329b233eb3dccc1269c8f40")
+    "09d7a2593a25dd934eb1c12c2f0cbdeac91eb64471d54ea03b7b04ce7b05e231")
 
 
 def test_criterion_6_reports_golden():
@@ -116,3 +117,21 @@ def test_criterion_6_reports_golden():
     for report in _criterion_6_audits():
         h.update((report.dumps() + report.table()).encode())
     assert h.hexdigest() == CRITERION_6_GOLDEN
+
+
+# the routes of more than one step, and the exact claims their steps compose to
+_ROUTE_CLAIMS = {"sat": (4, 0), "node_cover": (6, 4), "partition": (1, 1)}
+
+
+def test_routed_chains_within_composed_claims():
+    routes = {kind: route_to_kernel(kind) for kind in KINDS}
+    assert {kind: chain.growth_claim() for kind, chain in routes.items()
+            if len(chain.steps) > 1} == _ROUTE_CLAIMS
+    for kind, (alpha, beta) in _ROUTE_CLAIMS.items():
+        scales = (3, 8, 16, 32, 64) if kind in _WIDE else SCALES
+        for seed in range(20):
+            family = GeneratorSpec(kind, seed, _CRITERION_6_PARAMS.get(kind, {}))
+            for scale in scales:
+                p = generate(scaled_spec(family, scale))
+                out = measure_input_size(apply_chain(routes[kind], p)[-1])
+                assert out <= alpha * measure_input_size(p) + beta, (kind, seed, scale)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -64,6 +65,12 @@ def test_registry_shape():
     assert "chromatic_to_clique_cover_compressed" in R
     for spec in R.values():
         assert spec.source_kind != spec.target_kind
+
+
+def test_growth_claims_are_exact():
+    for spec in R.values():
+        assert all(isinstance(c, (int, Fraction)) for c in spec.growth_claim), spec.name
+    assert R["threesat_to_ip"].growth_claim == (Fraction(4, 3), 0)
 
 
 def test_kind_mismatch_is_type_error():
@@ -382,8 +389,7 @@ def test_steiner_counts_with_budget_row():
     p = generate(GeneratorSpec("steiner_tree", 3, {"vertices": 5, "budget": 1}))
     assert p.payload.budget < sum(p.payload.graph.weights)
     spec = R["steiner_tree_to_ip"]
-    assert spec.count_checks(p, spec.apply(p)) == [
-        ("nonzeros = 4N + 7e (budget row extra)", 92, 92)]
+    assert spec.count_checks(p, spec.apply(p)) == [("nonzeros = 4N + 7e + 2b", 92, 92)]
 
 
 def test_steiner_fake_two_cycle_counterexample():
@@ -452,6 +458,14 @@ def test_max_cut_examples():
 
     p = Problem("max_cut", UGraph(3, ((1, 2), (2, 3)), (2, 3)), param=0)
     _agree("max_cut_to_ip", p)
+
+
+def test_max_cut_counts_name_the_weighted_edges():
+    # a zero-weight edge has no term in the budget row
+    p = Problem("max_cut", UGraph(3, ((1, 2), (2, 3)), (0, 3)), param=0)
+    spec = R["max_cut_to_ip"]
+    assert spec.count_checks(p, spec.apply(p)) == [
+        ("nonzeros = 12e + w", 25, 25), ("rhs entries = 4e + 1", 9, 9)]
 
 
 # ---------------------------------------------------------------------------
