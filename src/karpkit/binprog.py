@@ -1,6 +1,12 @@
 """0-1 integer programs: sparse constraint rows, slack/surplus rewriting,
 and an exact lexicographic feasibility search pruned by row activity bounds.
 
+A row is a `ConstraintRow` NamedTuple (terms, relation, rhs, slack_bound):
+reductions build one per row, so it is kept as cheap as a tuple, and it
+equals the plain 4-tuple of its fields.  `BinaryProgram.validate` checks
+every field of every row in one pass, and every reduction's image goes
+through it.
+
 Inequality rows carry a `slack_bound`: the maximum LHS-RHS gap over
 satisfying binary assignments, supplied analytically by whichever reduction
 built the row.  Converting a row to equality form appends
@@ -12,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 EQ, LE, GE = "=", "<=", ">="
 
@@ -38,8 +44,13 @@ class VariableTag:
     origin: tuple
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(NamedTuple):
+    """One sparse row: sum(c * x[i] for (i, c) in terms) `relation` rhs.
+
+    A NamedTuple, so a row is immutable and hashable, and it equals the
+    plain 4-tuple (terms, relation, rhs, slack_bound) of its fields.
+    """
+
     terms: tuple  # ((var_index, coefficient), ...), var_index 0-based
     relation: str
     rhs: int
@@ -64,24 +75,24 @@ class BinaryProgram:
         return len(self.variables)
 
     def validate(self):
+        # `type(x) is int` settles the common case before `is_int` decides
         origins = [t.origin for t in self.variables]
         if len(set(origins)) != len(origins):
             raise ContractError("variable origin tags must be unique")
-        for row in self.rows:
-            if row.relation not in (EQ, LE, GE):
-                raise ContractError("bad relation %r" % row.relation)
-            if not is_int(row.rhs):
-                raise ContractError("rhs must be an integer, got %r" % (row.rhs,))
-            if row.slack_bound is not None and not is_int(row.slack_bound):
-                raise ContractError(
-                    "slack_bound must be an integer, got %r" % (row.slack_bound,)
-                )
-            for i, c in row.terms:
-                if not (is_int(i) and is_int(c)):
+        num_variables = len(origins)
+        for terms, relation, rhs, slack_bound in self.rows:
+            if relation not in (EQ, LE, GE):
+                raise ContractError("bad relation %r" % relation)
+            if not (type(rhs) is int or is_int(rhs)):
+                raise ContractError("rhs must be an integer, got %r" % (rhs,))
+            if not (slack_bound is None or type(slack_bound) is int or is_int(slack_bound)):
+                raise ContractError("slack_bound must be an integer, got %r" % (slack_bound,))
+            for i, c in terms:
+                if not ((type(i) is int or is_int(i)) and (type(c) is int or is_int(c))):
                     raise ContractError(
                         "term %r is not an integer (index, coefficient) pair" % ((i, c),)
                     )
-                if not 0 <= i < len(self.variables):
+                if not 0 <= i < num_variables:
                     raise ContractError("term references undeclared variable")
                 if c == 0:
                     raise ContractError("zero coefficients must not be stored")
@@ -96,8 +107,9 @@ class BinaryProgram:
         lengths of all coefficients and RHS values."""
         if mode == "element":
             return sum(len(r.terms) for r in self.rows) + len(self.rows)
-        return sum(nbits(c) for r in self.rows for _, c in r.terms) + sum(
-            nbits(r.rhs) for r in self.rows
+        # nbits(x), inlined: this is the hot measure
+        return sum(abs(c).bit_length() + 1 for r in self.rows for _, c in r.terms) + sum(
+            abs(r.rhs).bit_length() + 1 for r in self.rows
         )
 
     def to_json(self):

@@ -3,7 +3,8 @@
 Subcommands operate on instance files (JSON envelopes by default, DIMACS CNF
 and edge lists importable via --format).  `-` means stdin/stdout for data;
 diagnostics go to stderr.  Exit codes: 0 success/YES, 1 NO verdict, 2 usage
-error, 3 budget refusal.
+error, 3 budget refusal, 4 self-check failure (an oracle's own witness did
+not verify: a karpkit defect, not the input's).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import serialize
 from .genlab import GeneratorSpec, generate
 from .growth import audit
 from .instances import measure_input_size, verify_certificate
-from .oracles import DEFAULT_BUDGET, BudgetExceededError, solve
+from .oracles import DEFAULT_BUDGET, BudgetExceededError, OracleSelfCheckError, solve
 from .reductions import (
     REDUCTIONS,
     _lift_stages,
@@ -29,6 +30,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_SELF_CHECK = 4
 
 
 def _read_text(path):
@@ -243,6 +245,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget refusal: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+    except OracleSelfCheckError as exc:
+        print("self-check failure: %s" % exc, file=sys.stderr)
+        return EXIT_SELF_CHECK
     # any other failure is malformed input or a usage error: a traceback
     # would exit 1, which reads as NO
     except Exception as exc:

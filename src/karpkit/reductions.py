@@ -101,10 +101,6 @@ def _holders(items):
     return holders
 
 
-def _row(terms, relation, rhs, slack_bound=None):
-    return ConstraintRow(tuple(terms), relation, rhs, slack_bound)
-
-
 def _ip_problem(variables, rows):
     return Problem("ip01", BinaryProgram(tuple(variables), tuple(rows)).validate())
 
@@ -155,17 +151,17 @@ def reduce_clique_to_ip(problem):
     """Edge variables x_ij, vertex variables v_i; per-edge linking rows plus
     exactly-k vertices and exactly C(k,2) chosen edges."""
     g, k = problem.payload, problem.param
+    n, e = g.num_vertices, len(g.edges)
     variables = [VariableTag(("edge", i, j)) for i, j in g.edges]
-    variables += [VariableTag(("vertex", i)) for i in range(1, g.num_vertices + 1)]
-    x = {e: idx for idx, e in enumerate(g.edges)}
-    v = {i: len(g.edges) + i - 1 for i in range(1, g.num_vertices + 1)}
+    variables += [VariableTag(("vertex", i)) for i in range(1, n + 1)]
+    v = range(e - 1, e + n)  # v[i]: vertex i's variable; edge x's is its index
     rows = []
-    for (i, j) in g.edges:
-        rows.append(_row([(x[(i, j)], 1), (v[i], -1), (v[j], -1)], GE, -1, 1))
-        rows.append(_row([(x[(i, j)], 1), (v[i], -1)], LE, 0, 1))
-        rows.append(_row([(x[(i, j)], 1), (v[j], -1)], LE, 0, 1))
-    rows.append(_row([(v[i], 1) for i in range(1, g.num_vertices + 1)], EQ, k))
-    rows.append(_row([(x[e], 1) for e in g.edges], EQ, comb(k, 2)))
+    for x, (i, j) in enumerate(g.edges):
+        rows += (ConstraintRow(((x, 1), (v[i], -1), (v[j], -1)), GE, -1, 1),
+                 ConstraintRow(((x, 1), (v[i], -1)), LE, 0, 1),
+                 ConstraintRow(((x, 1), (v[j], -1)), LE, 0, 1))
+    rows.append(ConstraintRow(tuple((v[i], 1) for i in range(1, n + 1)), EQ, k))
+    rows.append(ConstraintRow(tuple((x, 1) for x in range(e)), EQ, comb(k, 2)))
     return _ip_problem(variables, rows)
 
 
@@ -188,10 +184,10 @@ def reduce_set_packing_to_ip(problem):
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
     rows = [
-        _row([(i, 1) for i in member.get(j, ())], LE, 1, 1)
+        ConstraintRow(tuple((i, 1) for i in member.get(j, ())), LE, 1, 1)
         for j in range(1, fam.universe_size + 1)
     ]
-    rows.append(_row([(i, 1) for i in range(fam.num_sets)], EQ, l))
+    rows.append(ConstraintRow(tuple((i, 1) for i in range(fam.num_sets)), EQ, l))
     return _ip_problem(variables, rows)
 
 
@@ -234,10 +230,10 @@ def reduce_set_covering_to_ip(problem):
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
     rows = [
-        _row([(i, 1) for i in member[j]], GE, 1, len(member[j]) - 1)
+        ConstraintRow(tuple((i, 1) for i in member[j]), GE, 1, len(member[j]) - 1)
         for j in sorted(member)
     ]
-    rows.append(_row([(i, 1) for i in range(fam.num_sets)], EQ, k))
+    rows.append(ConstraintRow(tuple((i, 1) for i in range(fam.num_sets)), EQ, k))
     return _ip_problem(variables, rows)
 
 
@@ -371,10 +367,10 @@ def reduce_threesat_to_ip(problem):
             w[abs(lit)] = w.get(abs(lit), 0) + (1 if lit > 0 else -1)
             if lit < 0:
                 d += 1
-        terms = [(j - 1, c) for j, c in sorted(w.items()) if c != 0]
+        terms = tuple((j - 1, c) for j, c in sorted(w.items()) if c != 0)
         rhs = 1 - d
         gap = sum(max(c, 0) for _, c in terms) - rhs
-        rows.append(_row(terms, GE, rhs, gap))
+        rows.append(ConstraintRow(terms, GE, rhs, gap))
     return _ip_problem(variables, rows)
 
 
@@ -395,7 +391,7 @@ def reduce_exact_cover_to_ip(problem):
     fam = problem.payload
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
-    rows = [_row([(i, 1) for i in member[j]], EQ, 1) for j in sorted(member)]
+    rows = [ConstraintRow(tuple((i, 1) for i in member[j]), EQ, 1) for j in sorted(member)]
     return _ip_problem(variables, rows)
 
 
@@ -412,7 +408,7 @@ def counts_exact_cover(source, target):
 def reduce_hitting_set_to_ip(problem):
     fam = problem.payload
     variables = [VariableTag(("element", j)) for j in range(1, fam.universe_size + 1)]
-    rows = [_row([(j - 1, 1) for j in s], EQ, 1) for s in fam.sets]
+    rows = [ConstraintRow(tuple((j - 1, 1) for j in s), EQ, 1) for s in fam.sets]
     return _ip_problem(variables, rows)
 
 
@@ -438,51 +434,41 @@ def reduce_steiner_tree_to_ip(problem):
     """
     st = problem.payload
     g = st.graph
-    n = g.num_vertices
+    n, e = g.num_vertices, len(g.edges)
     terminals = set(st.terminals)
+    # edge a = (i, j), i < j, gives arc (i, j) variable 2a and arc (j, i) 2a + 1
     variables = []
-    x = {}
-    for (i, j) in g.edges:
-        x[(i, j)] = len(variables)
-        variables.append(VariableTag(("arc", i, j)))
-        x[(j, i)] = len(variables)
-        variables.append(VariableTag(("arc", j, i)))
-    y = {}
-    z = {}
-    for j in range(1, n + 1):
-        y[j] = len(variables)
-        variables.append(VariableTag(("member", j)))
-    for j in range(1, n + 1):
-        z[j] = len(variables)
-        variables.append(VariableTag(("root", j)))
+    for i, j in g.edges:
+        variables += (VariableTag(("arc", i, j)), VariableTag(("arc", j, i)))
+    variables += [VariableTag(("member", j)) for j in range(1, n + 1)]
+    variables += [VariableTag(("root", j)) for j in range(1, n + 1)]
+    y = range(2 * e - 1, 2 * e + n)  # y[j]: member j's variable
+    z = range(2 * e + n - 1, 2 * e + 2 * n)  # z[j]: root j's variable
 
-    neighbors = {j: [] for j in range(1, n + 1)}
-    for (i, j) in g.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
+    into = {j: [] for j in range(1, n + 1)}  # vertex -> its in-arc variables
+    for a, (i, j) in enumerate(g.edges):
+        into[j].append(2 * a)
+        into[i].append(2 * a + 1)
 
-    rows = [_row([(z[j], 1) for j in range(1, n + 1)], EQ, 1)]
+    rows = [ConstraintRow(tuple((z[j], 1) for j in range(1, n + 1)), EQ, 1)]
     for j in range(1, n + 1):
         if j in terminals:
-            rows.append(_row([(y[j], 1), (z[j], 1)], EQ, 1))
+            rows.append(ConstraintRow(((y[j], 1), (z[j], 1)), EQ, 1))
         else:
-            rows.append(_row([(y[j], 1), (z[j], 1)], LE, 1, 1))
+            rows.append(ConstraintRow(((y[j], 1), (z[j], 1)), LE, 1, 1))
     for j in range(1, n + 1):
-        terms = [(y[j], 1)] + [(x[(i, j)], -1) for i in neighbors[j]]
-        rows.append(_row(terms, EQ, 0))
-    for (i, j) in g.edges:
-        rows.append(_row([(x[(i, j)], 1), (y[i], -1), (z[i], -1)], LE, 0, 1))
-    for (i, j) in g.edges:
-        rows.append(_row([(x[(i, j)], 1), (z[j], 1)], LE, 1, 1))
+        rows.append(ConstraintRow(((y[j], 1),) + tuple((x, -1) for x in into[j]), EQ, 0))
+    for a, (i, j) in enumerate(g.edges):
+        rows.append(ConstraintRow(((2 * a, 1), (y[i], -1), (z[i], -1)), LE, 0, 1))
+    for a, (i, j) in enumerate(g.edges):
+        rows.append(ConstraintRow(((2 * a, 1), (z[j], 1)), LE, 1, 1))
     total_weight = sum(g.weights) if g.weights else 0
     if st.budget < total_weight:
         terms = []
-        for idx, (i, j) in enumerate(g.edges):
-            w = g.weights[idx]
+        for a, w in enumerate(g.weights):
             if w != 0:
-                terms.append((x[(i, j)], w))
-                terms.append((x[(j, i)], w))
-        rows.append(_row(terms, LE, st.budget, min(st.budget, total_weight)))
+                terms += ((2 * a, w), (2 * a + 1, w))
+        rows.append(ConstraintRow(tuple(terms), LE, st.budget, min(st.budget, total_weight)))
     return _ip_problem(variables, rows)
 
 
@@ -519,7 +505,7 @@ def reduce_three_dim_matching_to_ip(problem):
     variables = [VariableTag(("triple", i)) for i in range(1, len(tf.triples) + 1)]
     occur = _holders(zip(t, (1, 2, 3)) for t in tf.triples)
     rows = [
-        _row([(i, 1) for i in occur.get((j, k), ())], EQ, 1)
+        ConstraintRow(tuple((i, 1) for i in occur.get((j, k), ())), EQ, 1)
         for j in range(1, tf.t_size + 1)
         for k in (1, 2, 3)
     ]
@@ -542,8 +528,8 @@ def counts_three_dim_matching(source, target):
 def reduce_knapsack_to_ip(problem):
     ks = problem.payload
     variables = [VariableTag(("item", i)) for i in range(1, len(ks.values) + 1)]
-    terms = [(i, a) for i, a in enumerate(ks.values)]
-    return _ip_problem(variables, [_row(terms, EQ, ks.target)])
+    terms = tuple(enumerate(ks.values))
+    return _ip_problem(variables, [ConstraintRow(terms, EQ, ks.target)])
 
 
 def counts_knapsack(source, target):
@@ -572,23 +558,20 @@ def reduce_max_cut_to_ip(problem):
     """Inverted convention: x_i = 0 selects vertex i, y_ij = 0 counts the
     edge; the budget row bounds the weight of uncut edges by TW - W."""
     g, w_target = problem.payload, problem.param
-    variables = [VariableTag(("vertex", i)) for i in range(1, g.num_vertices + 1)]
-    y = {}
-    for (i, j) in g.edges:
-        y[(i, j)] = len(variables)
-        variables.append(VariableTag(("edge", i, j)))
-    x = {i: i - 1 for i in range(1, g.num_vertices + 1)}
+    n = g.num_vertices
+    # vertex i's variable is i - 1, and the edges' variables follow in edge order
+    variables = [VariableTag(("vertex", i)) for i in range(1, n + 1)]
+    variables += [VariableTag(("edge", i, j)) for i, j in g.edges]
     rows = []
-    for (i, j) in g.edges:
-        rows.append(_row([(y[(i, j)], 1), (x[i], -1), (x[j], 1)], LE, 1, 2))
-        rows.append(_row([(y[(i, j)], 1), (x[j], -1), (x[i], 1)], LE, 1, 2))
-        rows.append(_row([(y[(i, j)], 1), (x[i], 1), (x[j], 1)], GE, 1, 2))
-        rows.append(_row([(y[(i, j)], 1), (x[i], -1), (x[j], -1)], GE, -1, 2))
+    for y, (i, j) in enumerate(g.edges, start=n):
+        xi, xj = i - 1, j - 1
+        rows += (ConstraintRow(((y, 1), (xi, -1), (xj, 1)), LE, 1, 2),
+                 ConstraintRow(((y, 1), (xj, -1), (xi, 1)), LE, 1, 2),
+                 ConstraintRow(((y, 1), (xi, 1), (xj, 1)), GE, 1, 2),
+                 ConstraintRow(((y, 1), (xi, -1), (xj, -1)), GE, -1, 2))
     tw = sum(g.weights)
-    terms = [
-        (y[e], w) for e, w in zip(g.edges, g.weights) if w != 0
-    ]
-    rows.append(_row(terms, LE, tw - w_target, max(tw - w_target, 0)))
+    terms = tuple((y, w) for y, w in enumerate(g.weights, start=n) if w != 0)
+    rows.append(ConstraintRow(terms, LE, tw - w_target, max(tw - w_target, 0)))
     return _ip_problem(variables, rows)
 
 

@@ -1,5 +1,6 @@
 import ast
 import random
+from enum import IntEnum
 from itertools import combinations, product
 
 import pytest
@@ -160,6 +161,14 @@ def test_validate_rejects_zero_coefficient():
 def test_validate_rejects_non_integer_numbers(row):
     with pytest.raises(ContractError):
         _prog(1, [row]).validate()
+
+
+def test_validate_accepts_an_int_subclass_coefficient():
+    class Weight(IntEnum):
+        TWO = 2
+
+    prog = _prog(1, [ConstraintRow(((0, Weight.TWO),), EQ, 2, None)])
+    assert prog.validate() is prog
 
 
 def test_validate_rejects_duplicate_origins():

@@ -357,6 +357,17 @@ FAS_2CYCLE = (
 )
 
 
+def test_oracle_self_check_failure_exits_4(capsys, monkeypatch, tmp_path):
+    # a witness that its own instance rejects is karpkit's defect: not a
+    # verdict, and not the user's error
+    monkeypatch.setitem(karpkit.oracles.ORACLES, "partition", lambda p, budget: ((1,), 1))
+    inst = _write(tmp_path, "p.json", _PARTITION % (2, 3))
+    code, out, err = run(capsys, "solve", inst)
+    assert code == 4 and out == ""
+    assert err.startswith("self-check failure: partition oracle witness")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("instance, cert_kind, value", [
     (_ip01_text(1, 1), "binary", [0.7, 1]),
     (_ip01_text(1, 1), "binary", ["0", "1"]),

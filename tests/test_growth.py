@@ -6,7 +6,13 @@ import pytest
 from karpkit.genlab import GeneratorSpec, generate, scaled_spec
 from karpkit.growth import audit
 from karpkit.instances import KINDS, measure_input_size
-from karpkit.reductions import REDUCTIONS, apply_chain, route_to_kernel
+from karpkit.reductions import (
+    CANONICAL_REDUCTIONS,
+    REDUCTIONS,
+    apply_chain,
+    route_to_kernel,
+)
+from karpkit.serialize import problem_to_json
 
 SCALES = (4, 8, 16, 32, 64)
 
@@ -95,16 +101,22 @@ _CRITERION_6_PARAMS = {
 _WIDE = ("knapsack", "partition", "three_dim_matching", "sat")
 
 
-def _criterion_6_audits():
-    for rid, spec in REDUCTIONS.items():
-        kind = spec.source_kind
+def _criterion_6_families(reduction_ids, seed):
+    """(reduction id, family, scales) for each of criterion 6's families."""
+    for rid in reduction_ids:
+        kind = REDUCTIONS[rid].source_kind
         if kind == "chromatic_number":
             families = [{"density": 0.1}, {"density": 1.0}]
         else:
             families = [_CRITERION_6_PARAMS.get(kind, {})]
         scales = (3, 8, 16, 32, 64) if kind in _WIDE else SCALES
         for params in families:
-            yield audit(rid, GeneratorSpec(kind, 23, params), scales)
+            yield rid, GeneratorSpec(kind, seed, params), scales
+
+
+def _criterion_6_audits():
+    for rid, family, scales in _criterion_6_families(REDUCTIONS, 23):
+        yield audit(rid, family, scales)
 
 
 # sha256 over dumps() + table() of every _criterion_6_audits() report
@@ -117,6 +129,26 @@ def test_criterion_6_reports_golden():
     for report in _criterion_6_audits():
         h.update((report.dumps() + report.table()).encode())
     assert h.hexdigest() == CRITERION_6_GOLDEN
+
+
+# sha256 over the compact JSON of every canonical reduction's image on
+# criterion 6's families and scales at seeds 0-2 (255 images)
+IMAGES_GOLDEN = (
+    "78a9d11ddfcf9246166e71a765249aa891ad809fc367977da7f9a1e553516912")
+
+
+def test_canonical_images_golden():
+    h = hashlib.sha256()
+    count = 0
+    for seed in range(3):
+        for rid, family, scales in _criterion_6_families(CANONICAL_REDUCTIONS, seed):
+            for scale in scales:
+                image = REDUCTIONS[rid].apply(generate(scaled_spec(family, scale)))
+                h.update(json.dumps(problem_to_json(image), sort_keys=True,
+                                    separators=(",", ":")).encode())
+                count += 1
+    assert count == 255
+    assert h.hexdigest() == IMAGES_GOLDEN
 
 
 # the routes of more than one step, and the exact claims their steps compose to

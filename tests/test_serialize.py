@@ -218,6 +218,12 @@ _IP_STR_RHS = BinaryProgram(
 _WEIGHTED = UGraph(2, ((1, 2),), (1,))
 _UNWEIGHTED = UGraph(2, ((1, 2),))
 
+
+def _ip_row(*row):
+    """A one-variable program with the one row given."""
+    return BinaryProgram((VariableTag(("x", 1)),), (ConstraintRow(*row),))
+
+
 # (problem, error, message): at least one malformed instance per kind, and
 # an unknown kind
 MALFORMED_INSTANCES = [
@@ -315,6 +321,16 @@ MALFORMED_INSTANCES = [
     (Problem("ip01", BinaryProgram((VariableTag(("x", 1)),), (
         ConstraintRow(((1, 1),), "=", 1, None),))), ContractError,
      "term references undeclared variable"),
+    (Problem("ip01", _ip_row(((0, 0),), "=", 1)), ContractError,
+     "zero coefficients must not be stored"),
+    (Problem("ip01", _ip_row(((0, True),), "=", 1)), ContractError,
+     "term (0, True) is not an integer (index, coefficient) pair"),
+    (Problem("ip01", _ip_row(((0.0, 1),), "=", 1)), ContractError,
+     "term (0.0, 1) is not an integer (index, coefficient) pair"),
+    (Problem("ip01", _ip_row(((0, 1),), "<=", 1, 0.5)), ContractError,
+     "slack_bound must be an integer, got 0.5"),
+    (Problem("ip01", BinaryProgram((VariableTag(("x", 1)), VariableTag(("x", 1))), ())),
+     ContractError, "variable origin tags must be unique"),
 ]
 
 
