@@ -127,16 +127,16 @@ class BinaryProgram:
 
     @staticmethod
     def from_json(d):
-        variables = tuple(VariableTag(tuple(o)) for o in d["variables"])
-        rows = tuple(
+        variables = tuple([VariableTag(tuple(o)) for o in d["variables"]])
+        rows = tuple([
             ConstraintRow(
-                tuple((i, c) for i, c in r["terms"]),
+                tuple([(i, c) for i, c in r["terms"]]),
                 r["relation"],
                 r["rhs"],
                 r.get("slack_bound"),
             )
             for r in d["rows"]
-        )
+        ])
         return BinaryProgram(variables, rows)
 
 

@@ -130,10 +130,10 @@ def _clauses(seed, m, sizes):
     flip; one row of 2m uniforms per clause."""
     u = _stream(seed, "clause").random((len(sizes), 2 * m))
     negated = (u[:, m:] >= 0.5).tolist()
-    return tuple(
-        tuple(-v if neg else v for v, neg in zip(chosen, flips))
+    return tuple([
+        tuple([-v if neg else v for v, neg in zip(chosen, flips)])
         for chosen, flips in zip(_ranked(u[:, :m], sizes), negated)
-    )
+    ])
 
 
 def _random_family(seed, universe, num_sets, max_set):
@@ -246,12 +246,12 @@ def _binary_program(kind, seed, p, top):
     rhs = _ints(u[:, -1], 0, np.array(counts)).tolist()
     out_rows = [
         ConstraintRow(
-            tuple((x - 1, c or 1) for x, c in zip(sorted(chosen), row_coefs)),
+            tuple([(x - 1, c or 1) for x, c in zip(sorted(chosen), row_coefs)]),
             "=", b, None,
         )
         for chosen, row_coefs, b in zip(_ranked(u[:, 1:v + 1], counts), coefs, rhs)
     ]
-    variables = tuple(VariableTag(("x", i)) for i in range(1, v + 1))
+    variables = tuple([VariableTag(("x", i)) for i in range(1, v + 1)])
     return Problem(kind, BinaryProgram(variables, tuple(out_rows)))
 
 

@@ -88,14 +88,15 @@ class CnfFormula:
     def size(self, mode):
         if mode == "element":
             return sum(len(c) for c in self.clauses)
-        return sum(nbits(lit) for c in self.clauses for lit in c)
+        # nbits per literal, inlined: this is a hot measure
+        return sum([abs(lit).bit_length() + 1 for c in self.clauses for lit in c])
 
     def to_json(self):
         return {"num_literals": self.num_literals, "clauses": [list(c) for c in self.clauses]}
 
     @staticmethod
     def from_json(d):
-        return CnfFormula(d["num_literals"], tuple(tuple(c) for c in d["clauses"]))
+        return CnfFormula(d["num_literals"], tuple([tuple(c) for c in d["clauses"]]))
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class UGraph:
     def make(num_vertices, edges, weights=None, complement=False):
         return UGraph(
             num_vertices,
-            tuple((min(i, j), max(i, j)) for i, j in edges),
+            tuple([(min(i, j), max(i, j)) for i, j in edges]),
             None if weights is None else tuple(weights),
             complement,
         )
@@ -127,12 +128,12 @@ class UGraph:
             return self.edges
         stored = set(self.edges)
         n = self.num_vertices
-        return tuple(
+        return tuple([
             (i, j)
             for i in range(1, n + 1)
             for j in range(i + 1, n + 1)
             if (i, j) not in stored
-        )
+        ])
 
     def weight_of(self):
         return dict(zip(self.edges, self.weights))
@@ -163,8 +164,11 @@ class UGraph:
         """An edge counts once, or twice with its weight."""
         if mode == "element":
             return len(self.edges) * (1 if self.weights is None else 2)
-        bits = sum(nbits(i) + nbits(j) for i, j in self.edges)
-        return bits if self.weights is None else bits + sum(map(nbits, self.weights))
+        # nbits per endpoint, inlined: this is a hot measure
+        bits = sum([abs(i).bit_length() + abs(j).bit_length() + 2 for i, j in self.edges])
+        if self.weights is None:
+            return bits
+        return bits + sum([abs(w).bit_length() + 1 for w in self.weights])
 
     def to_json(self):
         if self.weights is not None:
@@ -218,7 +222,8 @@ class DiGraph:
     def size(self, mode):
         if mode == "element":
             return len(self.arcs)
-        return sum(nbits(i) + nbits(j) for i, j in self.arcs)
+        # nbits per endpoint, inlined: this is a hot measure
+        return sum([abs(i).bit_length() + abs(j).bit_length() + 2 for i, j in self.arcs])
 
     def to_json(self):
         return {"graph": {"num_vertices": self.num_vertices,
@@ -227,7 +232,7 @@ class DiGraph:
     @staticmethod
     def from_json(d):
         d = d["graph"]
-        return DiGraph(d["num_vertices"], tuple(tuple(a) for a in d["arcs"]))
+        return DiGraph(d["num_vertices"], tuple([tuple(a) for a in d["arcs"]]))
 
 
 @dataclass(frozen=True)
@@ -258,7 +263,8 @@ class SetFamily:
     def size(self, mode):
         if mode == "element":
             return sum(len(s) for s in self.sets)
-        return sum(nbits(x) for s in self.sets for x in s)
+        # nbits per element, inlined: this is a hot measure
+        return sum([abs(x).bit_length() + 1 for s in self.sets for x in s])
 
     def to_json(self):
         return {"family": {"universe_size": self.universe_size,
@@ -267,7 +273,7 @@ class SetFamily:
     @staticmethod
     def from_json(d):
         d = d["family"]
-        return SetFamily(d["universe_size"], tuple(tuple(s) for s in d["sets"]))
+        return SetFamily(d["universe_size"], tuple([tuple(s) for s in d["sets"]]))
 
 
 @dataclass(frozen=True)
@@ -291,14 +297,16 @@ class TripleFamily:
         """The triples and t_size."""
         if mode == "element":
             return 3 * len(self.triples) + 1
-        return sum(nbits(x) for t in self.triples for x in t) + nbits(self.t_size)
+        # nbits per coordinate, inlined: this is a hot measure
+        bits = sum([abs(x).bit_length() + 1 for t in self.triples for x in t])
+        return bits + nbits(self.t_size)
 
     def to_json(self):
         return {"t_size": self.t_size, "triples": [list(t) for t in self.triples]}
 
     @staticmethod
     def from_json(d):
-        return TripleFamily(d["t_size"], tuple(tuple(t) for t in d["triples"]))
+        return TripleFamily(d["t_size"], tuple([tuple(t) for t in d["triples"]]))
 
 
 @dataclass(frozen=True)
@@ -644,7 +652,7 @@ def _node_cover_yes(problem):
 
 
 def _set_packing_yes(problem):
-    l, sets = problem.param, tuple(set(s) for s in problem.payload.sets)
+    l, sets = problem.param, tuple([set(s) for s in problem.payload.sets])
     def yes(v):
         if len(v) != l:
             return False
@@ -681,7 +689,7 @@ def _exact_cover_yes(problem):
 
 
 def _hitting_set_yes(problem):
-    sets = tuple(set(s) for s in problem.payload.sets)
+    sets = tuple([set(s) for s in problem.payload.sets])
     def yes(v):
         w = set(v)
         return all(len(w & s) == 1 for s in sets)

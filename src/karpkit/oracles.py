@@ -14,30 +14,32 @@ witness is a subset of items: clique, set_packing and three_dim_matching
 feedback_arc_set (up to a size), exact_cover, hitting_set, knapsack,
 partition and max_cut (any size).  For each size, smallest first, it places
 the items in order, picked before left out, the order of `combinations`; a
-kind's `SUBSETS` entry gives the checks that cut a branch.  `_first_word`
-decides the kinds whose witness is a word, one letter per position:
-sat/threesat (x1, x2, ... False before True), chromatic_number (vertices
-1..n, colours ascending) and clique_cover (vertices 1..n into blocks, the
-restricted growth strings with at most `l` blocks).  Both cut only where no
-candidate below passes the YES test and compute `explored` from the
-witness's rank, so a witness deep in a large space is never enumerated.
+kind's `SUBSETS` entry gives the checks that cut a branch.  It also decides
+steiner_tree, over edge subsets rooted at their least endpoint.
+`_first_word` decides the kinds whose witness is a word, one letter per
+position: sat/threesat (x1, x2, ... False before True), chromatic_number
+(vertices 1..n, colours ascending) and clique_cover (vertices 1..n into
+blocks, the restricted growth strings with at most `l` blocks).  Both cut
+only where no candidate below passes the YES test and compute `explored`
+from the witness's rank, so a witness deep in a large space is never
+enumerated.
 
-Four kinds keep searches of their own: ip01 calls `solve_ip`
+Three kinds keep searches of their own: ip01 calls `solve_ip`
 (bound-pruned, guarded by its 2^v space); dhcp walks vertex orders
 depth-first, looking ahead at the vertices left off the path, and hcp runs
-the same search over both arc directions of each edge; steiner_tree tries
-every tree in `_trees` order.  dhcp, hcp and clique_cover are not guarded:
-they refuse once the nodes visited, or the words ranked, pass the budget.
-Every search uses explicit stacks, not recursion.  A kind's oracle is its
-one `ORACLES` entry, a search returning the witness value (None on NO) and
-`explored`; `solve` alone makes the certificate and checks it once more
-with `verify_certificate`.  Verdicts and witnesses are deterministic.
+the same search over both arc directions of each edge.  dhcp, hcp and
+clique_cover are not guarded: they refuse once the nodes visited, or the
+words ranked, pass the budget.  Every search uses explicit stacks, not
+recursion.  A kind's oracle is its one `ORACLES` entry, a search returning
+the witness value (None on NO) and `explored`; `solve` alone makes the
+certificate and checks it once more with `verify_certificate`.  Verdicts
+and witnesses are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 from operator import add
 from typing import Optional
@@ -253,7 +255,7 @@ def _cut_reaches(g, k):
         cut += earlier[i] - to_picked[i]
         if cut + rest[i] < k:
             return None
-        return tuple(map(add, to_picked, row[i])), cut
+        return tuple([*map(add, to_picked, row[i])]), cut
     def leave(state, i):
         to_picked, cut = state
         cut += to_picked[i]
@@ -335,7 +337,7 @@ def _solve_sat(problem, budget):
         n, 0, lambda _: 2, place, lambda _, i: 1 << n - 1 - i, budget, problem.kind)
     if word is None:
         return None, explored
-    return tuple(map(bool, word)), explored
+    return tuple([*map(bool, word)]), explored
 
 
 def _solve_subsets(problem, budget):
@@ -353,11 +355,11 @@ def _solve_subsets(problem, budget):
     if checks is None:
         return None, 0
     is_yes, member = yes_test(problem), members.__getitem__
-    path = _first_subset(n, sizes, *checks, lambda path: is_yes(tuple(map(member, path))))
+    path = _first_subset(n, sizes, *checks, lambda path: is_yes(tuple([*map(member, path)])))
     if path is None:
         return None, space
     smaller = sum(comb(n, s) for s in range(lo, len(path)))
-    return tuple(map(member, path)), smaller + _lex_rank(n, path) + 1
+    return tuple([*map(member, path)]), smaller + _lex_rank(n, path) + 1
 
 
 def _first_subset(n, sizes, start, pick, leave, accept):
@@ -462,7 +464,7 @@ def _solve_hamiltonian(problem, budget):
     if directed:
         arcs, shortest = p.arcs, 2
     else:
-        arcs, shortest = p.edges + tuple((j, i) for i, j in p.edges), 3
+        arcs, shortest = p.edges + tuple([(j, i) for i, j in p.edges]), 3
     if n < shortest:
         return None, 0
     explored = 1
@@ -537,7 +539,7 @@ def _solve_chromatic(problem, budget):
         n, 0, lambda _: k, place, lambda _, i: k ** (n - 1 - i), budget, problem.kind)
     if word is None:
         return None, explored
-    return tuple(c + 1 for c in word), explored
+    return tuple([c + 1 for c in word]), explored
 
 
 def _solve_clique_cover(problem, budget):
@@ -569,31 +571,67 @@ def _solve_clique_cover(problem, budget):
         lambda blocks, i: strings[n - 1 - i][len(blocks)], budget, problem.kind)
     if word is None:
         return None, explored
-    value = (tuple(v for v, c in zip(_first(n), word) if c == b) for b in range(len(set(word))))
+    value = [tuple([v for v, c in zip(_first(n), word) if c == b]) for b in range(len(set(word)))]
     return tuple(value), explored
 
 
-def _trees(g):
-    """Root-only trees (no edges) first, then each edge subset rooted at
-    each of its endpoints."""
-    for root in _first(g.num_vertices):
-        yield {"edges": (), "root": root}
-    for size in range(1, len(g.edges) + 1):
-        for combo in combinations(g.edges, size):
-            for root in sorted(set(v for edge in combo for v in edge)):
-                yield {"edges": combo, "root": root}
-
-
 def _solve_steiner(problem, budget):
-    """Every candidate tree in `_trees` order."""
-    g = problem.payload.graph
-    _guard((1 << len(g.edges)) * max(g.num_vertices, 1), budget, problem.kind)
+    """Root-only trees first, roots 1..n; then the edge subsets by size and
+    lexicographically, each rooted at each of its endpoints in turn.  Rooted
+    at any of its endpoints, a subset passes the YES test or fails it alike,
+    so `_first_subset` searches the edge subsets alone, cutting an edge that
+    closes a cycle or puts the weight over the budget, and roots the witness
+    at its least endpoint.  `explored` counts the endpoints of every subset
+    before it."""
+    p = problem.payload
+    g, n = p.graph, p.graph.num_vertices
+    edges, weights, e = g.edges, g.weights, len(g.edges)
+    _guard((1 << e) * max(n, 1), budget, problem.kind)
     is_yes = yes_test(problem)
-    explored = 0
-    for explored, value in enumerate(_trees(g), 1):
+    for root in _first(n):
+        value = {"edges": (), "root": root}
         if is_yes(value):
-            return value, explored
-    return None, explored
+            return value, root
+    # after[y][v]: the edges y, y + 1, ... with vertex v + 1 as an endpoint
+    after = [[0] * n]
+    for u, v in reversed(edges):
+        after.append(after[-1][:])
+        after[-1][u - 1] += 1
+        after[-1][v - 1] += 1
+    after.reverse()
+    def tree(path):
+        combo = tuple([edges[i] for i in path])
+        return {"edges": combo, "root": min([u for u, _ in combo])}  # u < v
+    def pick(state, i):  # the weight picked, and each vertex's component mask
+        weight, component = state
+        u, v = edges[i]
+        weight += weights[i]
+        if weight > p.budget or component[u - 1] >> v - 1 & 1:
+            return None
+        merged = component[u - 1] | component[v - 1]
+        return weight, tuple([merged if c & merged else c for c in component])
+    path = _first_subset(e, range(1, e + 1), (0, tuple([1 << v for v in range(n)])),
+                         pick, _keep, lambda path: is_yes(tree(path)))
+    if path is None:
+        return None, n + sum([(1 << e) - (1 << e - d) for d in after[0]])
+    def endpoints(r, t, degree, touched):
+        """The endpoints, summed over the t-subsets of the last r edges, of
+        each subset together with the vertices `touched`; degree[v]: the
+        last r edges at vertex v + 1."""
+        return n * comb(r, t) - sum([
+            comb(r - d, t) for v, d in enumerate(degree) if not touched >> v & 1])
+    s = len(path)
+    explored = n + sum([endpoints(e, t, after[0], 0) for t in range(1, s)]) + 1
+    # the s-subsets before the witness: for each member x, those that agree
+    # with the witness before it and hold an edge y < x in its place
+    touched = first = 0  # the endpoints of the members before x; the least y
+    ends = [1 << u - 1 | 1 << v - 1 for u, v in edges]
+    for j, x in enumerate(path):
+        for y in range(first, x):
+            explored += endpoints(e - y - 1, s - j - 1, after[y + 1], touched | ends[y])
+        touched |= ends[x]
+        first = x + 1
+    return tree(path), explored
 
 
 # kind -> its search: (problem, budget) -> (the witness value or None, explored)

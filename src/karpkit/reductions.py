@@ -72,11 +72,11 @@ def _tagged(tag, picked=1):
     """Lift from ip01: the index in each origin whose variable has tag `tag`
     and is set to `picked`, in variable order."""
     def lift(source, target, cert):
-        return certificate(source, tuple(
+        return certificate(source, tuple([
             var.origin[1]
             for var, x in zip(target.payload.variables, cert.value)
             if var.origin[0] == tag and x == picked
-        ))
+        ]))
     return lift
 
 
@@ -89,7 +89,7 @@ def lift_assignment(source, target, cert):
     """The source's variables come first in the target, in order: keep their
     values, as booleans."""
     m = source.payload.num_literals
-    return certificate(source, tuple(map(bool, cert.value[:m])))
+    return certificate(source, tuple([*map(bool, cert.value[:m])]))
 
 
 def _holders(items):
@@ -160,8 +160,8 @@ def reduce_clique_to_ip(problem):
         rows += (ConstraintRow(((x, 1), (v[i], -1), (v[j], -1)), GE, -1, 1),
                  ConstraintRow(((x, 1), (v[i], -1)), LE, 0, 1),
                  ConstraintRow(((x, 1), (v[j], -1)), LE, 0, 1))
-    rows.append(ConstraintRow(tuple((v[i], 1) for i in range(1, n + 1)), EQ, k))
-    rows.append(ConstraintRow(tuple((x, 1) for x in range(e)), EQ, comb(k, 2)))
+    rows.append(ConstraintRow(tuple([(v[i], 1) for i in range(1, n + 1)]), EQ, k))
+    rows.append(ConstraintRow(tuple([(x, 1) for x in range(e)]), EQ, comb(k, 2)))
     return _ip_problem(variables, rows)
 
 
@@ -184,10 +184,10 @@ def reduce_set_packing_to_ip(problem):
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
     rows = [
-        ConstraintRow(tuple((i, 1) for i in member.get(j, ())), LE, 1, 1)
+        ConstraintRow(tuple([(i, 1) for i in member.get(j, ())]), LE, 1, 1)
         for j in range(1, fam.universe_size + 1)
     ]
-    rows.append(ConstraintRow(tuple((i, 1) for i in range(fam.num_sets)), EQ, l))
+    rows.append(ConstraintRow(tuple([(i, 1) for i in range(fam.num_sets)]), EQ, l))
     return _ip_problem(variables, rows)
 
 
@@ -207,7 +207,7 @@ def reduce_node_cover_to_set_covering(problem):
     """Universe = edges; set j holds the edges incident with vertex j; k = l."""
     g, l = problem.payload, problem.param
     incident = _holders(g.edges)
-    sets = [tuple(e + 1 for e in incident.get(j, ())) for j in range(1, g.num_vertices + 1)]
+    sets = [tuple([e + 1 for e in incident.get(j, ())]) for j in range(1, g.num_vertices + 1)]
     fam = SetFamily(len(g.edges), tuple(sets))
     return Problem("set_covering", fam, param=l)
 
@@ -230,10 +230,10 @@ def reduce_set_covering_to_ip(problem):
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
     rows = [
-        ConstraintRow(tuple((i, 1) for i in member[j]), GE, 1, len(member[j]) - 1)
+        ConstraintRow(tuple([(i, 1) for i in member[j]]), GE, 1, len(member[j]) - 1)
         for j in sorted(member)
     ]
-    rows.append(ConstraintRow(tuple((i, 1) for i in range(fam.num_sets)), EQ, k))
+    rows.append(ConstraintRow(tuple([(i, 1) for i in range(fam.num_sets)]), EQ, k))
     return _ip_problem(variables, rows)
 
 
@@ -367,7 +367,7 @@ def reduce_threesat_to_ip(problem):
             w[abs(lit)] = w.get(abs(lit), 0) + (1 if lit > 0 else -1)
             if lit < 0:
                 d += 1
-        terms = tuple((j - 1, c) for j, c in sorted(w.items()) if c != 0)
+        terms = tuple([(j - 1, c) for j, c in sorted(w.items()) if c != 0])
         rhs = 1 - d
         gap = sum(max(c, 0) for _, c in terms) - rhs
         rows.append(ConstraintRow(terms, GE, rhs, gap))
@@ -391,7 +391,7 @@ def reduce_exact_cover_to_ip(problem):
     fam = problem.payload
     variables = [VariableTag(("set", i)) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
-    rows = [ConstraintRow(tuple((i, 1) for i in member[j]), EQ, 1) for j in sorted(member)]
+    rows = [ConstraintRow(tuple([(i, 1) for i in member[j]]), EQ, 1) for j in sorted(member)]
     return _ip_problem(variables, rows)
 
 
@@ -408,7 +408,7 @@ def counts_exact_cover(source, target):
 def reduce_hitting_set_to_ip(problem):
     fam = problem.payload
     variables = [VariableTag(("element", j)) for j in range(1, fam.universe_size + 1)]
-    rows = [ConstraintRow(tuple((j - 1, 1) for j in s), EQ, 1) for s in fam.sets]
+    rows = [ConstraintRow(tuple([(j - 1, 1) for j in s]), EQ, 1) for s in fam.sets]
     return _ip_problem(variables, rows)
 
 
@@ -450,14 +450,14 @@ def reduce_steiner_tree_to_ip(problem):
         into[j].append(2 * a)
         into[i].append(2 * a + 1)
 
-    rows = [ConstraintRow(tuple((z[j], 1) for j in range(1, n + 1)), EQ, 1)]
+    rows = [ConstraintRow(tuple([(z[j], 1) for j in range(1, n + 1)]), EQ, 1)]
     for j in range(1, n + 1):
         if j in terminals:
             rows.append(ConstraintRow(((y[j], 1), (z[j], 1)), EQ, 1))
         else:
             rows.append(ConstraintRow(((y[j], 1), (z[j], 1)), LE, 1, 1))
     for j in range(1, n + 1):
-        rows.append(ConstraintRow(((y[j], 1),) + tuple((x, -1) for x in into[j]), EQ, 0))
+        rows.append(ConstraintRow(((y[j], 1),) + tuple([(x, -1) for x in into[j]]), EQ, 0))
     for a, (i, j) in enumerate(g.edges):
         rows.append(ConstraintRow(((2 * a, 1), (y[i], -1), (z[i], -1)), LE, 0, 1))
     for a, (i, j) in enumerate(g.edges):
@@ -505,7 +505,7 @@ def reduce_three_dim_matching_to_ip(problem):
     variables = [VariableTag(("triple", i)) for i in range(1, len(tf.triples) + 1)]
     occur = _holders(zip(t, (1, 2, 3)) for t in tf.triples)
     rows = [
-        ConstraintRow(tuple((i, 1) for i in occur.get((j, k), ())), EQ, 1)
+        ConstraintRow(tuple([(i, 1) for i in occur.get((j, k), ())]), EQ, 1)
         for j in range(1, tf.t_size + 1)
         for k in (1, 2, 3)
     ]
@@ -528,7 +528,7 @@ def counts_three_dim_matching(source, target):
 def reduce_knapsack_to_ip(problem):
     ks = problem.payload
     variables = [VariableTag(("item", i)) for i in range(1, len(ks.values) + 1)]
-    terms = tuple(enumerate(ks.values))
+    terms = tuple([*enumerate(ks.values)])
     return _ip_problem(variables, [ConstraintRow(terms, EQ, ks.target)])
 
 
@@ -570,7 +570,7 @@ def reduce_max_cut_to_ip(problem):
                  ConstraintRow(((y, 1), (xi, 1), (xj, 1)), GE, 1, 2),
                  ConstraintRow(((y, 1), (xi, -1), (xj, -1)), GE, -1, 2))
     tw = sum(g.weights)
-    terms = tuple((y, w) for y, w in enumerate(g.weights, start=n) if w != 0)
+    terms = tuple([(y, w) for y, w in enumerate(g.weights, start=n) if w != 0])
     rows.append(ConstraintRow(terms, LE, tw - w_target, max(tw - w_target, 0)))
     return _ip_problem(variables, rows)
 
@@ -662,9 +662,9 @@ REDUCTIONS = {
 }
 
 # the sixteen canonical reduction ids (compressed clique-cover is a variant)
-CANONICAL_REDUCTIONS = tuple(
+CANONICAL_REDUCTIONS = tuple([
     name for name in REDUCTIONS if name != "chromatic_to_clique_cover_compressed"
-)
+])
 
 
 @dataclass(frozen=True)
@@ -681,7 +681,7 @@ class ReductionChain:
 
     @property
     def names(self):
-        return tuple(s.name for s in self.steps)
+        return tuple([s.name for s in self.steps])
 
     def growth_claim(self):
         """Composition of the per-step affine bounds."""
@@ -693,7 +693,7 @@ class ReductionChain:
 
 
 def chain_from_names(names):
-    return ReductionChain(tuple(REDUCTIONS[n] for n in names))
+    return ReductionChain(tuple([REDUCTIONS[n] for n in names]))
 
 
 def apply_chain(chain, problem):

@@ -75,7 +75,7 @@ def certificate_to_json(cert):
 def _tuples(value):
     """A JSON value with every array, at any depth, read as a tuple."""
     if isinstance(value, list):
-        return tuple(map(_tuples, value))
+        return tuple([*map(_tuples, value)])
     if isinstance(value, dict):
         return {key: _tuples(v) for key, v in value.items()}
     return value

@@ -4,7 +4,7 @@ from itertools import chain, combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from karpkit.instances import (
     CnfFormula,
@@ -470,6 +470,61 @@ def test_hamiltonian_look_ahead_keeps_every_answer_in_fewer_nodes(problem):
 def test_hamiltonian_look_ahead_cuts(problem, record, unpruned):
     assert _record(problem, DEFAULT_BUDGET) == record
     assert _unpruned(problem, DEFAULT_BUDGET)[2] == unpruned
+
+
+def _trees(problem, budget):
+    """The steiner_tree candidates the search replaced: root-only trees,
+    then each edge subset, by size in `combinations` order, rooted at each
+    of its endpoints in increasing order."""
+    g = problem.payload.graph
+    def trees():
+        for root in _upto(g.num_vertices):
+            yield {"edges": (), "root": root}
+        for size in range(1, len(g.edges) + 1):
+            for combo in combinations(g.edges, size):
+                for root in sorted(set(chain.from_iterable(combo))):
+                    yield {"edges": combo, "root": root}
+    return _enumerated(problem, budget, (1 << len(g.edges)) * max(g.num_vertices, 1), trees())
+
+
+def _steiner(n, edges, weights, terminals, budget):
+    return Problem("steiner_tree", SteinerInstance(
+        UGraph(n, tuple(edges), tuple(weights)), tuple(terminals), budget))
+
+
+@st.composite
+def steiner_problems(draw):
+    n = draw(st.integers(1, 7))
+    pairs = list(combinations(_upto(n), 2))
+    # edges in drawn order, at most 10: 2^10 * 7 candidates; isolated vertices too
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(edges), max_size=len(edges)))
+    picked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    terminals = [v for v, chosen in zip(_upto(n), picked) if chosen] or [draw(st.integers(1, n))]
+    total = sum(weights)
+    # budgets in the upper half let larger trees through
+    budget = draw(st.integers(0, total + 1) | st.integers(total // 2, total + 1))
+    return _steiner(n, edges, weights, terminals, budget)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(steiner_problems())
+@example(_steiner(3, (), (), (2,), 0))  # edgeless: a root-only witness
+@example(_steiner(3, (), (), (1, 3), 5))  # edgeless, two terminals: NO
+@example(_steiner(4, ((2, 3), (1, 2), (1, 3)), (0, 0, 0), (1, 3), 0))  # zero weights
+@example(_steiner(5, ((1, 2), (2, 3), (3, 4)), (1, 2, 1), (1, 4), 3))  # over budget
+def test_steiner_search_matches_the_enumerator(problem):
+    for budget in (DEFAULT_BUDGET, 40):
+        assert _record(problem, budget) == _trees(problem, budget)
+
+
+def test_steiner_no_explores_the_closed_form():
+    # a triangle 1-2-3 and the pendant edge 3-4; joining 1 and 4 takes two
+    # edges, over the budget of 1.  Vertex degrees (2, 2, 3, 1) over e = 4
+    # edges: n + sum over v of (2^e - 2^(e - d_v)) = 4 + 12 + 12 + 14 + 8
+    problem = _steiner(4, ((1, 2), (1, 3), (2, 3), (3, 4)), (1, 1, 1, 1), (1, 4), 1)
+    assert _record(problem, DEFAULT_BUDGET) == (False, None, 50)
+    assert _trees(problem, DEFAULT_BUDGET) == (False, None, 50)
 
 
 # sha256 over repr((answer, witness value, explored)) or ("refused", message)
