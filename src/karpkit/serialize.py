@@ -7,6 +7,11 @@ carrier in `instances`), plus the kind's scalar parameter under the name its
 with its value as written, read back uncoerced with every JSON array as a
 tuple; the shape checks in `KINDS` refuse values of the wrong types.  This
 module holds no per-kind branches.
+Every JSON text karpkit writes (instance, certificate, `route` manifest,
+growth report) comes from `dumps_json`: sorted keys, a two-space indent and a
+final newline, the same bytes as the stdlib `json` module's dumps with
+`sort_keys=True, indent=2`.  Any indent sends the stdlib to its pure-Python
+encoder, so `dumps_json` writes the text itself.
 Importers: DIMACS CNF (for sat) and whitespace edge lists with an optional
 third weight column (for graph kinds).
 """
@@ -14,6 +19,7 @@ third weight column (for graph kinds).
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .instances import (
     KINDS,
@@ -27,9 +33,78 @@ from .instances import (
 )
 
 
+_INFINITY = float("inf")
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INT = {int}
+
+
+def _scalar(value):
+    """None, a bool, an int or a float as the stdlib writes it, or None if
+    `value` is none of these."""
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)  # an IntEnum as its number
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY or value == -_INFINITY:
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key(key):
+    if isinstance(key, str):
+        return _string(key)
+    text = _scalar(key)
+    if text is None:
+        raise TypeError("keys must be str, int, float, bool or None, not %s"
+                        % type(key).__name__)
+    return '"' + text + '"'
+
+
+def _write(value, newline):
+    """`value` as JSON text, each member of a container on a line of its own
+    that starts with `newline` and two more spaces."""
+    t = type(value)
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if {*map(type, value)} == _INT:  # exact ints: a bool stays true/false
+            members = map(int.__repr__, value)
+        else:
+            members = [_write(member, inner) for member in value]
+        return "[" + inner + ("," + inner).join(members) + newline + "]"
+    if t is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        members = [_key(k) + ": " + _write(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(members) + newline + "}"
+    if t is int:  # exact, so not a bool
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _string(value)
+    text = _scalar(value)
+    if text is not None:
+        return text
+    if isinstance(value, (list, tuple)):
+        return _write(list(value), newline)
+    if isinstance(value, dict):
+        return _write(dict(value), newline)
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def dumps_json(value):
-    """The one JSON text convention: sorted keys, two-space indent, final newline."""
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    """The one JSON text convention: sorted keys, two-space indent, final newline.
+
+    The bytes are the stdlib's with `sort_keys=True, indent=2`, plus the
+    newline, and so are its errors: a value JSON has no form for, or dict
+    keys that do not sort, raise TypeError.
+    """
+    return _write(value, "\n") + "\n"
 
 
 def problem_to_json(problem):

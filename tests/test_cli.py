@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 import karpkit
 from karpkit.cli import main
 from karpkit.genlab import GeneratorSpec, generate
-from karpkit.instances import CnfFormula, Problem, UGraph
+from karpkit.instances import KINDS, CnfFormula, Problem, UGraph
 from karpkit.oracles import solve
 from karpkit.reductions import ReductionSpec, apply_chain, chain_from_names
 from karpkit.serialize import (
@@ -77,6 +78,26 @@ def test_route_partition_manifest(tmp_path, capsys):
         "partition_to_knapsack", "knapsack_to_ip",
     ]
     assert loads_problem(final.read_text()).kind == "ip01"
+
+
+# sha256 over the manifest `route` writes for generate(GeneratorSpec(kind, s)),
+# every generated kind, s = 0..19
+ROUTE_MANIFEST_GOLDEN = (
+    "31119f6fb3872f4ea381ff3799f3bb8c6357044bc488c6a157c94b46cc8da107"
+)
+
+
+def test_route_manifest_golden(tmp_path, capsys):
+    h = hashlib.sha256()
+    for kind in KINDS:
+        if kind == "job_sequencing":
+            continue
+        for s in range(20):
+            path = _write(tmp_path, "p.json", dumps_problem(generate(GeneratorSpec(kind, s))))
+            code, out, _ = run(capsys, "route", path, "--to-kernel")
+            assert code == 0, (kind, s)
+            h.update(out.encode())
+    assert h.hexdigest() == ROUTE_MANIFEST_GOLDEN
 
 
 def test_reduce_solve_lift_verify_round_trip(tmp_path, capsys):

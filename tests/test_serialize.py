@@ -1,7 +1,10 @@
+import collections
+import enum
 import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from karpkit.binprog import BinaryProgram, ConstraintRow, ContractError, VariableTag
 from karpkit.genlab import GeneratorSpec, generate, scaled_spec
@@ -25,6 +28,7 @@ from karpkit.oracles import BudgetExceededError, solve
 from karpkit.reductions import apply_chain, lift_chain, route_to_kernel
 from karpkit.serialize import (
     dumps_certificate,
+    dumps_json,
     dumps_problem,
     loads_certificate,
     loads_problem,
@@ -55,6 +59,66 @@ def test_envelope_shape():
 def test_dumps_is_stable():
     p = generate(GeneratorSpec("max_cut", 2))
     assert dumps_problem(p) == dumps_problem(p)
+
+
+def _stdlib(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+class _Colour(enum.IntEnum):
+    RED = 3
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+
+
+_SPECIAL_CHARACTERS = '"\\/\x00\x08\x1f\x7f\u00e9\u2028\u2029\ud800\udfff\U0001f600'
+_TEXT = st.text(st.characters() | st.sampled_from(_SPECIAL_CHARACTERS))
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(max_value=-1)
+    | st.integers(2**64, 2**200) | st.just(_Colour.RED) | st.floats()
+    | st.sampled_from([-0.0, 1e300, float("inf"), float("-inf"), float("nan")])
+    | _TEXT
+)
+# str keys, number keys (int, float and bool sort together) or the one None
+# key: a dict that mixes str and number keys does not sort
+_KEY_SETS = (
+    _TEXT,
+    st.integers() | st.booleans() | st.floats()
+    | st.sampled_from([1e300, float("inf"), float("-inf"), -0.0]),
+    st.none(),
+)
+
+
+def _containers(children):
+    return (st.lists(children) | st.lists(children).map(tuple)
+            | st.one_of([st.dictionaries(keys, children) for keys in _KEY_SETS]))
+
+
+def _nested(depth):
+    value = [[]]
+    for level in range(depth - 1):
+        value = {"level": level, "inner": value} if level % 2 else [value, ()]
+    return value
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=30))
+@example(_nested(200))
+@example([_Pair(1, True), collections.OrderedDict(b=_Pair([], ()), a=2)])
+def test_dumps_json_matches_the_stdlib_writer(value):
+    assert dumps_json(value) == _stdlib(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, b"bytes", object(), {1: 0, "a": 0}, {(1, 2): 0}, [0, {"a": frozenset()}],
+], ids=["set", "bytes", "object", "mixed-keys", "tuple-key", "nested-frozenset"])
+def test_dumps_json_raises_as_the_stdlib_writer(value):
+    with pytest.raises(Exception) as stdlib:
+        _stdlib(value)
+    with pytest.raises(Exception) as ours:
+        dumps_json(value)
+    assert type(ours.value) is type(stdlib.value) is TypeError
 
 
 def test_certificate_round_trip():

@@ -79,3 +79,26 @@ def test_benchmark_names_resolve():
                     break
                 obj = getattr(obj, attribute)
     assert not missing, "the benchmark reads missing names: " + ", ".join(sorted(missing))
+
+
+def test_one_json_writer():
+    # serialize.dumps_json writes every JSON text karpkit produces; a second
+    # writer could bring back the stdlib's pure-Python indent path.  The one
+    # other call is the compact value quoted in cli._params' error message.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "cli.py":
+            params = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_params")
+            allowed = {id(call.func) for call in ast.walk(params)
+                       if isinstance(call, ast.Call) and not call.keywords}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += ["%s:%d" % (path.name, node.lineno)
+                          for alias in node.names if alias.name in ("dump", "dumps")]
+            elif (isinstance(node, ast.Attribute) and id(node) not in allowed
+                    and _chain(node) in (["json", "dump"], ["json", "dumps"])):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, "JSON written outside serialize.dumps_json at " + ", ".join(found)
