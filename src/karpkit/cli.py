@@ -18,13 +18,7 @@ from .genlab import GeneratorSpec, generate
 from .growth import audit
 from .instances import measure_input_size, verify_certificate
 from .oracles import DEFAULT_BUDGET, BudgetExceededError, OracleSelfCheckError, solve
-from .reductions import (
-    REDUCTIONS,
-    _lift_stages,
-    apply_chain,
-    chain_from_names,
-    route_to_kernel,
-)
+from .reductions import _lift_stages, apply_chain, chain_from_names, route_to_kernel
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -88,9 +82,8 @@ def _manifest(stages, names):
 
 def cmd_reduce(args):
     problem = _load_problem(args)
-    if args.via not in REDUCTIONS:
-        raise ValueError("unknown reduction %r" % args.via)
-    target = REDUCTIONS[args.via].apply(problem)
+    (spec,) = chain_from_names([args.via]).steps
+    target = spec.apply(problem)
     _write_text(args.output, serialize.dumps_problem(target))
     return EXIT_YES
 
@@ -146,9 +139,7 @@ def cmd_lift(args):
 
 
 def cmd_audit(args):
-    if args.reduction not in REDUCTIONS:
-        raise ValueError("unknown reduction %r" % args.reduction)
-    spec = REDUCTIONS[args.reduction]
+    (spec,) = chain_from_names([args.reduction]).steps
     params = _params(json.loads(args.params) if args.params else {})
     family = GeneratorSpec(spec.source_kind, args.seed, params)
     report = audit(args.reduction, family, args.scales)

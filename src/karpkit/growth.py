@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .genlab import generate, scaled_spec
 from .instances import measure_input_size
-from .reductions import REDUCTIONS
+from .reductions import chain_from_names
 from .serialize import dumps_json
 
 
@@ -85,7 +85,7 @@ def audit(reduction_id, family, scales):
     kind; its scale knob is overridden per scale point.  Deterministic for a
     fixed (family, scales) input.
     """
-    spec = REDUCTIONS[reduction_id]
+    (spec,) = chain_from_names([reduction_id]).steps
     if family.kind != spec.source_kind:
         raise TypeError(
             "%s audits %r families, got %r"

@@ -2,7 +2,12 @@
 
 Each reduction is a transform/lift pair: the transform maps a source
 instance to a target instance with the same YES/NO answer, and the lift
-maps any accepted target certificate back to a source certificate.  Every
+maps any accepted target certificate back to a source certificate.  A
+transform is called as `transform(payload, param)` and returns the image's
+`(payload, param)`, its param None where the target kind has none.  Its
+`ReductionSpec` is the one place that names the source and target kinds:
+`ReductionSpec.apply` checks the source kind and makes the image under the
+target kind, so no transform builds a `Problem`.  Every
 reduction declares an exact affine growth claim (ints, or a Fraction) on
 element-mode input sizes and, where known, exact nonzero/RHS counts of its
 output, each built by `_count` so that its label renders the formula it checks.
@@ -36,7 +41,6 @@ from .instances import (
     InvalidCertificateError,
     Problem,
     SetFamily,
-    SteinerInstance,
     UGraph,
     UnsupportedKindError,
     _check_certificate,
@@ -55,7 +59,7 @@ class ReductionSpec:
     name: str
     source_kind: str
     target_kind: str
-    transform: Callable
+    transform: Callable  # (payload, param) -> the image's (payload, param)
     lift: Callable  # (source, target, cert) -> source certificate
     growth_claim: tuple  # exact (alpha, beta), ints or Fractions, on element-mode sizes
     count_checks: Optional[Callable] = None  # (source, target) -> [(label, want, got)]
@@ -65,7 +69,7 @@ class ReductionSpec:
             raise TypeError(
                 "%s expects kind %r, got %r" % (self.name, self.source_kind, problem.kind)
             )
-        return self.transform(problem)
+        return Problem(self.target_kind, *self.transform(problem.payload, problem.param))
 
 
 def _tagged(tag, picked=1):
@@ -101,8 +105,9 @@ def _holders(items):
     return holders
 
 
-def _ip_problem(variables, rows):
-    return Problem("ip01", BinaryProgram(tuple(variables), tuple(rows)).validate())
+def _program(variables, rows):
+    """An ip01 image: the checked program, and no parameter."""
+    return BinaryProgram(tuple(variables), tuple(rows)).validate(), None
 
 
 def _ip_nonzeros(program):
@@ -122,10 +127,9 @@ def _count(quantity, got, *terms):
 # ---------------------------------------------------------------------------
 
 
-def reduce_sat_to_3sat(problem):
+def reduce_sat_to_3sat(f, _):
     """Split every clause of size k > 3 into a chain of k-2 clauses linked
     by k-3 fresh variables; shorter clauses are copied verbatim."""
-    f = problem.payload
     next_var = f.num_literals
     clauses = []
     for clause in f.clauses:
@@ -139,7 +143,7 @@ def reduce_sat_to_3sat(problem):
         for j in range(2, k - 2):
             clauses.append((-fresh[j - 2], clause[j], fresh[j - 1]))
         clauses.append((-fresh[-1], clause[k - 2], clause[k - 1]))
-    return Problem("threesat", CnfFormula(next_var, tuple(clauses)))
+    return CnfFormula(next_var, tuple(clauses)), None
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +151,9 @@ def reduce_sat_to_3sat(problem):
 # ---------------------------------------------------------------------------
 
 
-def reduce_clique_to_ip(problem):
+def reduce_clique_to_ip(g, k):
     """Edge variables x_ij, vertex variables v_i; per-edge linking rows plus
     exactly-k vertices and exactly C(k,2) chosen edges."""
-    g, k = problem.payload, problem.param
     n, e = g.num_vertices, len(g.edges)
     variables = [("edge", i, j) for i, j in g.edges]
     variables += [("vertex", i) for i in range(1, n + 1)]
@@ -162,7 +165,7 @@ def reduce_clique_to_ip(problem):
                  ConstraintRow(((x, 1), (v[j], -1)), LE, 0, 1))
     rows.append(ConstraintRow(tuple([(v[i], 1) for i in range(1, n + 1)]), EQ, k))
     rows.append(ConstraintRow(tuple([(x, 1) for x in range(e)]), EQ, comb(k, 2)))
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 def counts_clique_to_ip(source, target):
@@ -179,8 +182,7 @@ def counts_clique_to_ip(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_set_packing_to_ip(problem):
-    fam, l = problem.payload, problem.param
+def reduce_set_packing_to_ip(fam, l):
     variables = [("set", i) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
     rows = [
@@ -188,7 +190,7 @@ def reduce_set_packing_to_ip(problem):
         for j in range(1, fam.universe_size + 1)
     ]
     rows.append(ConstraintRow(tuple([(i, 1) for i in range(fam.num_sets)]), EQ, l))
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 def counts_family_to_ip(source, target):
@@ -203,13 +205,11 @@ def counts_family_to_ip(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_node_cover_to_set_covering(problem):
+def reduce_node_cover_to_set_covering(g, l):
     """Universe = edges; set j holds the edges incident with vertex j; k = l."""
-    g, l = problem.payload, problem.param
     incident = _holders(g.edges)
     sets = [tuple([e + 1 for e in incident.get(j, ())]) for j in range(1, g.num_vertices + 1)]
-    fam = SetFamily(len(g.edges), tuple(sets))
-    return Problem("set_covering", fam, param=l)
+    return SetFamily(len(g.edges), tuple(sets)), l
 
 
 def counts_node_cover(source, target):
@@ -223,10 +223,9 @@ def counts_node_cover(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_set_covering_to_ip(problem):
+def reduce_set_covering_to_ip(fam, k):
     """Coverage rows are indexed over the union of the family (an element no
     set contains imposes no requirement), plus an exactly-k row."""
-    fam, k = problem.payload, problem.param
     variables = [("set", i) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
     rows = [
@@ -234,7 +233,7 @@ def reduce_set_covering_to_ip(problem):
         for j in sorted(member)
     ]
     rows.append(ConstraintRow(tuple([(i, 1) for i in range(fam.num_sets)]), EQ, k))
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +265,9 @@ def _fas_gadget_arcs(g):
     return arcs
 
 
-def reduce_fas_to_fns(problem):
+def reduce_fas_to_fns(g, k):
     """Sparsify via per-vertex path gadgets, then take the directed line
     graph; feedback node sets there play the role of feedback arc sets."""
-    g, k = problem.payload, problem.param
     arcs = _fas_gadget_arcs(g)
     heads = {}
     for node, (tail, head) in enumerate(arcs, start=1):
@@ -278,7 +276,7 @@ def reduce_fas_to_fns(problem):
     for node, (tail, head) in enumerate(arcs, start=1):
         for succ in heads.get(head, ()):
             line_arcs.append((node, succ))
-    return Problem("feedback_node_set", DiGraph(len(arcs), tuple(line_arcs)), param=k)
+    return DiGraph(len(arcs), tuple(line_arcs)), k
 
 
 def lift_fas_to_fns(source, target, cert):
@@ -306,17 +304,16 @@ def lift_fas_to_fns(source, target, cert):
 # ---------------------------------------------------------------------------
 
 
-def reduce_dhcp_to_hcp(problem):
+def reduce_dhcp_to_hcp(g, _):
     """Each vertex i becomes the 3-path 3i-2 -- 3i-1 -- 3i; arc (i,j)
     becomes the edge {3i, 3j-2}.  A self-loop is on no cycle through two or
     more vertices and gets no edge, which would close gadget i's triangle."""
-    g = problem.payload
     edges = []
     for i in range(1, g.num_vertices + 1):
         edges.append((3 * i - 2, 3 * i - 1))
         edges.append((3 * i - 1, 3 * i))
     edges += [(min(3 * i, 3 * j - 2), max(3 * i, 3 * j - 2)) for i, j in g.arcs if i != j]
-    return Problem("hcp", UGraph(3 * g.num_vertices, tuple(edges)))
+    return UGraph(3 * g.num_vertices, tuple(edges)), None
 
 
 def lift_dhcp_to_hcp(source, target, cert):
@@ -352,11 +349,10 @@ def counts_dhcp_to_hcp(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_threesat_to_ip(problem):
+def reduce_threesat_to_ip(f, _):
     """One >= row per clause: signed literal coefficients against 1 minus the
     number of complemented literals.  Repeated occurrences of a variable in
     one clause sum their signs (cancellation drops the term)."""
-    f = problem.payload
     variables = [("literal", j) for j in range(1, f.num_literals + 1)]
     rows = []
     for clause in f.clauses:
@@ -370,7 +366,7 @@ def reduce_threesat_to_ip(problem):
         rhs = 1 - d
         gap = sum(max(c, 0) for _, c in terms) - rhs
         rows.append(ConstraintRow(terms, GE, rhs, gap))
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 def counts_threesat_to_ip(source, target):
@@ -386,12 +382,11 @@ def counts_threesat_to_ip(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_exact_cover_to_ip(problem):
-    fam = problem.payload
+def reduce_exact_cover_to_ip(fam, _):
     variables = [("set", i) for i in range(1, fam.num_sets + 1)]
     member = _holders(fam.sets)
     rows = [ConstraintRow(tuple([(i, 1) for i in member[j]]), EQ, 1) for j in sorted(member)]
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 def counts_exact_cover(source, target):
@@ -404,11 +399,10 @@ def counts_exact_cover(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_hitting_set_to_ip(problem):
-    fam = problem.payload
+def reduce_hitting_set_to_ip(fam, _):
     variables = [("element", j) for j in range(1, fam.universe_size + 1)]
     rows = [ConstraintRow(tuple([(j - 1, 1) for j in s]), EQ, 1) for s in fam.sets]
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 def counts_hitting_set(source, target):
@@ -425,13 +419,12 @@ def counts_hitting_set(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_steiner_tree_to_ip(problem):
+def reduce_steiner_tree_to_ip(st, _):
     """Oriented edge variables with root/membership indicators.
 
     The weight-budget row is dropped when the budget covers the total edge
     weight (it is then satisfied automatically).
     """
-    st = problem.payload
     g = st.graph
     n, e = g.num_vertices, len(g.edges)
     terminals = set(st.terminals)
@@ -468,7 +461,7 @@ def reduce_steiner_tree_to_ip(problem):
             if w != 0:
                 terms += ((2 * a, w), (2 * a + 1, w))
         rows.append(ConstraintRow(tuple(terms), LE, st.budget, min(st.budget, total_weight)))
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 def lift_steiner_tree_to_ip(source, target, cert):
@@ -498,9 +491,8 @@ def counts_steiner_tree(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_three_dim_matching_to_ip(problem):
+def reduce_three_dim_matching_to_ip(tf, _):
     """One equality row per (ground element, coordinate) pair."""
-    tf = problem.payload
     variables = [("triple", i) for i in range(1, len(tf.triples) + 1)]
     occur = _holders(zip(t, (1, 2, 3)) for t in tf.triples)
     rows = [
@@ -508,7 +500,7 @@ def reduce_three_dim_matching_to_ip(problem):
         for j in range(1, tf.t_size + 1)
         for k in (1, 2, 3)
     ]
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 def counts_three_dim_matching(source, target):
@@ -524,11 +516,10 @@ def counts_three_dim_matching(source, target):
 # ---------------------------------------------------------------------------
 
 
-def reduce_knapsack_to_ip(problem):
-    ks = problem.payload
+def reduce_knapsack_to_ip(ks, _):
     variables = [("item", i) for i in range(1, len(ks.values) + 1)]
     terms = tuple([*enumerate(ks.values)])
-    return _ip_problem(variables, [ConstraintRow(terms, EQ, ks.target)])
+    return _program(variables, [ConstraintRow(terms, EQ, ks.target)])
 
 
 def counts_knapsack(source, target):
@@ -539,13 +530,12 @@ def counts_knapsack(source, target):
     ]
 
 
-def reduce_partition_to_knapsack(problem):
+def reduce_partition_to_knapsack(items, _):
     """Target b = half the total; an odd total gets the unreachable target
     total+1 so both sides stay NO."""
-    values = problem.payload.values
-    total = sum(values)
+    total = sum(items.values)
     b = total // 2 if total % 2 == 0 else total + 1
-    return Problem("knapsack", IntegerList(values, b))
+    return IntegerList(items.values, b), None
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +543,9 @@ def reduce_partition_to_knapsack(problem):
 # ---------------------------------------------------------------------------
 
 
-def reduce_max_cut_to_ip(problem):
+def reduce_max_cut_to_ip(g, w_target):
     """Inverted convention: x_i = 0 selects vertex i, y_ij = 0 counts the
     edge; the budget row bounds the weight of uncut edges by TW - W."""
-    g, w_target = problem.payload, problem.param
     n = g.num_vertices
     # vertex i's variable is i - 1, and the edges' variables follow in edge order
     variables = [("vertex", i) for i in range(1, n + 1)]
@@ -571,7 +560,7 @@ def reduce_max_cut_to_ip(problem):
     tw = sum(g.weights)
     terms = tuple([(y, w) for y, w in enumerate(g.weights, start=n) if w != 0])
     rows.append(ConstraintRow(terms, LE, tw - w_target, max(tw - w_target, 0)))
-    return _ip_problem(variables, rows)
+    return _program(variables, rows)
 
 
 def counts_max_cut(source, target):
@@ -588,19 +577,16 @@ def counts_max_cut(source, target):
 # ---------------------------------------------------------------------------
 
 
-def _reduce_chromatic_compressed(problem):
+def _reduce_chromatic_compressed(g, k):
     """Complement the graph by storing it with the complement flag set;
     colour classes become cliques."""
-    g = problem.payload
-    graph = UGraph(g.num_vertices, g.edges, complement=True)
-    return Problem("clique_cover", graph, param=problem.param)
+    return UGraph(g.num_vertices, g.edges, complement=True), k
 
 
-def reduce_chromatic_to_clique_cover(problem):
+def reduce_chromatic_to_clique_cover(g, k):
     """The compressed image with every complement edge materialised."""
-    g = _reduce_chromatic_compressed(problem).payload
-    return Problem("clique_cover", UGraph(g.num_vertices, g.effective_edges()),
-                   param=problem.param)
+    h, k = _reduce_chromatic_compressed(g, k)
+    return UGraph(h.num_vertices, h.effective_edges()), k
 
 
 def lift_chromatic_to_clique_cover(source, target, cert):
@@ -692,6 +678,10 @@ class ReductionChain:
 
 
 def chain_from_names(names):
+    """The chain of the named reductions, refusing an unknown id."""
+    for name in names:
+        if name not in REDUCTIONS:
+            raise ValueError("unknown reduction %r" % name)
     return ReductionChain(tuple([REDUCTIONS[n] for n in names]))
 
 

@@ -136,12 +136,15 @@ def test_reduce_via_writes_envelope(tmp_path, capsys):
 
 
 def test_unknown_reduction_exits_two(tmp_path, capsys):
-    path = _write(
-        tmp_path, "p.json",
-        dumps_problem(generate(GeneratorSpec("partition", 3))),
-    )
-    code, _, err = run(capsys, "reduce", path, "--via", "nope")
-    assert code == 2 and "nope" in err
+    problem = generate(GeneratorSpec("partition", 3))
+    path = _write(tmp_path, "p.json", dumps_problem(problem))
+    step = {"reduction": "nope", "instance": problem_to_json(problem)}
+    manifest = {"source": problem_to_json(problem), "steps": [step]}
+    chain = _write(tmp_path, "m.json", json.dumps(manifest))
+    cert = _write(tmp_path, "c.json", '{"kind": "subset", "value": [1]}')
+    for argv in (["reduce", path, "--via", "nope"], ["lift", "--chain", chain, "--cert", cert]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "unknown reduction 'nope'" in err, argv
 
 
 def test_verify_bad_certificate_exits_two(tmp_path, capsys):

@@ -68,6 +68,12 @@ def test_family_kind_mismatch():
         audit("sat_to_3sat", GeneratorSpec("clique", 1), SCALES)
 
 
+def test_audit_unknown_reduction():
+    with pytest.raises(ValueError) as exc:
+        audit("nope", GeneratorSpec("sat", 1), SCALES)
+    assert str(exc.value) == "unknown reduction 'nope'"
+
+
 def test_audit_requires_positive_sizes():
     with pytest.raises(ValueError) as exc:
         audit("sat_to_3sat", GeneratorSpec("sat", 1), (0,))

@@ -406,15 +406,29 @@ def test_steiner_counts_with_budget_row():
     assert spec.count_checks(p, spec.apply(p)) == [("nonzeros = 4N + 7e + 2b", 92, 92)]
 
 
-def test_steiner_fake_two_cycle_counterexample():
+@pytest.mark.parametrize(
+    "g, budget",
+    [
+        # connecting 1 and 3 costs 2 > 1
+        (UGraph(3, ((1, 2), (2, 3)), (1, 1)), 1),
+        # the smallest known: vertex 3 is isolated
+        (UGraph(3, ((1, 2),), (0,)), 0),
+    ],
+    ids=["budget_1", "isolated_terminal"],
+)
+def test_steiner_fake_two_cycle_counterexample(g, budget):
     # Known gap: nothing ties selected arcs to the root component, so a
     # directed 2-cycle away from the root satisfies every row.  Source is
-    # NO (connecting 1 and 3 costs 2 > 1) but the image is YES.
-    g = UGraph(3, ((1, 2), (2, 3)), (1, 1))
-    p = Problem("steiner_tree", SteinerInstance(g, (1, 3), 1))
-    t = R["steiner_tree_to_ip"].apply(p)
+    # NO but the image is YES, with the root at 3 and a 2-cycle on 1-2.
+    p = Problem("steiner_tree", SteinerInstance(g, (1, 3), budget))
+    spec = R["steiner_tree_to_ip"]
+    t = spec.apply(p)
     assert not solve(p).answer
-    assert solve(t).answer  # documents the unsoundness
+    v = solve(t)
+    assert v.answer  # documents the unsoundness
+    lifted = spec.lift(p, t, v.certificate)
+    assert lifted.value == {"edges": ((1, 2),), "root": 3}
+    assert not verify_certificate(p, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +512,10 @@ def test_chromatic_k3_dense():
 def test_chromatic_complement_involution():
     g = UGraph(4, ((1, 2), (3, 4)))
     p = Problem("chromatic_number", g, param=2)
-    once = reduce_chromatic_to_clique_cover(p).payload
-    twice_p = Problem("chromatic_number", once, param=2)
+    once, k = reduce_chromatic_to_clique_cover(p.payload, p.param)
+    assert k == 2
     assert set(
-        reduce_chromatic_to_clique_cover(twice_p).payload.edges
+        reduce_chromatic_to_clique_cover(once, k)[0].edges
     ) == set(g.edges)
 
 
@@ -664,8 +678,8 @@ LIFT_CASES = {
 
 
 def test_no_lift_runs_a_transform(monkeypatch):
-    def refuse(problem, *args, **kwargs):
-        raise AssertionError("a lift ran a transform on %s" % problem.kind)
+    def refuse(payload, *args, **kwargs):
+        raise AssertionError("a lift ran a transform on %s" % type(payload).__name__)
 
     # the registry keeps the original transforms, so apply still works
     for name in list(vars(karpkit.reductions)):
@@ -684,9 +698,9 @@ def test_lift_chain_applies_each_step_once():
     calls = []
 
     def counted(spec):
-        def transform(problem):
+        def transform(payload, param):
             calls.append(spec.name)
-            return spec.transform(problem)
+            return spec.transform(payload, param)
         return dataclasses.replace(spec, transform=transform)
 
     chain = ReductionChain(tuple(counted(s) for s in route_to_kernel("node_cover").steps))

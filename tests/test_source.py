@@ -102,3 +102,42 @@ def test_one_json_writer():
                     and _chain(node) in (["json", "dump"], ["json", "dumps"])):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, "JSON written outside serialize.dumps_json at " + ", ".join(found)
+
+
+def test_no_unused_imports():
+    # no linter runs on the source, so a name imported and never read would
+    # stay; __init__.py imports to re-export, and the __future__ import is
+    # a compiler switch
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}  # bound name -> line
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for name, line in imported.items() if name not in read]
+    assert not found, "imported and never read: " + ", ".join(found)
+
+
+def test_transforms_build_no_problem():
+    # a ReductionSpec names its reduction's kinds, and its apply alone makes
+    # the image: a transform returns the image's (payload, param)
+    tree = ast.parse((SOURCE / "reductions.py").read_text())
+    spec = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "ReductionSpec")
+    apply = next(node for node in spec.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "apply")
+    allowed = {id(node) for node in ast.walk(apply)}
+    found = ["reductions.py:%d" % node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Problem" and id(node) not in allowed]
+    assert not found, "Problem built outside ReductionSpec.apply at " + ", ".join(found)
